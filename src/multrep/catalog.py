@@ -34,7 +34,7 @@ from .integer_sets import (
     primes_up_to,
     nth_prime,
 )
-from .repcount import WindowStats, count_system_reps
+from .repcount import WindowStats, count_system_reps, summarize_window
 from .set_partitions import multinomial
 
 INFINITE = math.inf
@@ -166,21 +166,21 @@ def verify(
     system = construction.system
     mismatches = []
     rows = []
-    min_count = max_count = None
-    argmin = argmax = 2
-    for n in range(1, scan_max + 1):
-        brute = count_system_reps(system, n, tuple_cap=0).count
-        closed = closed_form(construction, n)
-        if closed != brute:
-            mismatches.append((n, closed, brute))
-        if keep_rows:
-            rows.append((n, closed, brute))
-        if n >= 2:
-            if min_count is None or brute < min_count:
-                min_count, argmin = brute, n
-            if max_count is None or brute > max_count:
-                max_count, argmax = brute, n
-    window = WindowStats(2, scan_max, min_count, argmin, max_count, argmax)
+
+    def checked_counts():
+        """(n, brute-force count) for n in [2, scan_max], recording every
+        n <= scan_max whose closed form disagrees."""
+        for n in range(1, scan_max + 1):
+            brute = count_system_reps(system, n, tuple_cap=0).count
+            closed = closed_form(construction, n)
+            if closed != brute:
+                mismatches.append((n, closed, brute))
+            if keep_rows:
+                rows.append((n, closed, brute))
+            if n >= 2:
+                yield n, brute
+
+    window = summarize_window(2, scan_max, checked_counts())
 
     prime_values = None
     prime_values_ok = None

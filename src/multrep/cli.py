@@ -213,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("text", "json", "csv"), default="text"
         )
-        p.add_argument("--seed", type=int, default=0, help="rng seed where applicable")
         return p
 
     p = add("count", cmd_count, help="count representations of one integer")

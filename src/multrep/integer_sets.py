@@ -17,11 +17,15 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import compress
 
 from .errors import FactorizationLimitError, ResourceLimitError
 
 MAX_INT = 2**63 - 1
+
+# is_prime and factorize read the smallest-prime-factor sieve below this
+SIEVE_LIMIT = 1 << 20
 
 DEFAULT_ELEMENT_CAP = 1_000_000
 
@@ -39,15 +43,20 @@ def _ensure_sieve(limit: int) -> None:
     if limit < len(_spf):
         return
     limit = max(limit, 2 * len(_spf), 1 << 16)
-    spf = list(range(limit + 1))
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == p:
-            for q in range(p * p, limit + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
+    root = math.isqrt(limit)
+    prime = bytearray([1]) * (limit + 1)
+    prime[:2] = b"\0\0"
+    for p in range(2, root + 1):
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    numbers = range(limit + 1)
+    spf = list(numbers)
+    # descending, so that the smallest prime factor is written last
+    for p in reversed(list(compress(numbers[: root + 1], prime))):
+        spf[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
     _spf = spf
-    _primes = [n for n in range(2, limit + 1) if spf[n] == n]
-    _prime_index = {p: i + 1 for i, p in enumerate(_primes)}
+    _primes = list(compress(numbers, prime))
+    _prime_index = dict(zip(_primes, range(1, len(_primes) + 1)))
 
 
 def is_prime(n: int) -> bool:
@@ -55,7 +64,7 @@ def is_prime(n: int) -> bool:
         return False
     if n < len(_spf):
         return _spf[n] == n
-    if n < (1 << 20):
+    if n < SIEVE_LIMIT:
         _ensure_sieve(n)
         return _spf[n] == n
     if n % 2 == 0:
@@ -105,8 +114,8 @@ def factorize(n: int, budget: int = 1_000_000) -> dict[int, int]:
     if n > MAX_INT:
         raise FactorizationLimitError(f"{n} exceeds 64-bit range")
     factors: dict[int, int] = {}
-    if n < (1 << 20):
-        _ensure_sieve(min(max(n, 2), 1 << 20))
+    if n < SIEVE_LIMIT:
+        _ensure_sieve(min(max(n, 2), SIEVE_LIMIT))
         while n > 1:
             p = _spf[n]
             e = 0
@@ -137,13 +146,6 @@ def factorize(n: int, budget: int = 1_000_000) -> dict[int, int]:
 
 def is_squarefree(n: int) -> bool:
     return all(e == 1 for e in factorize(n).values())
-
-
-def divisors(n: int) -> list[int]:
-    ds = [1]
-    for p, e in factorize(n).items():
-        ds = [d * p**a for d in ds for a in range(e + 1)]
-    return sorted(ds)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +212,28 @@ class Complement(PrimeClass):
 # ---------------------------------------------------------------------------
 
 class SetDescription:
-    """Base class; subclasses are immutable and hashable."""
+    """Base class; subclasses are immutable and hashable.
+
+    multiplicative is True for kinds whose indicator f is multiplicative
+    (f(1) = 1 and f(ab) = f(a) f(b) for coprime a, b), so that membership
+    of n is decided by the prime powers exactly dividing n.  It is read
+    from the sieve alone: a set whose parameters reach beyond it counts as
+    not multiplicative, which costs speed, never exactness.
+    """
+
+    multiplicative = False
 
     def contains(self, n: int) -> bool:
         raise NotImplementedError
+
+    def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
+        """Membership of n >= 1 whose factorization {prime: exponent} is
+        given; kinds that would factor n read it instead."""
+        return self.contains(n)
+
+    def prime_power_flags(self, p: int, e: int) -> list[bool]:
+        """Membership of p^0, p^1, ..., p^e for a prime p."""
+        return [self.contains(p**a) for a in range(e + 1)]
 
     def iter_up_to(self, limit: int):
         # generic fallback: scan and filter
@@ -222,8 +242,13 @@ class SetDescription:
 
 @dataclass(frozen=True)
 class AllNaturals(SetDescription):
+    multiplicative = True
+
     def contains(self, n: int) -> bool:
         return n >= 1
+
+    def prime_power_flags(self, p: int, e: int) -> list[bool]:
+        return [True] * (e + 1)
 
     def iter_up_to(self, limit: int):
         return iter(range(1, limit + 1))
@@ -242,6 +267,16 @@ class Singleton(SetDescription):
         if vs[0] < 0:
             raise ValueError("values must be >= 0")
         object.__setattr__(self, "values", vs)
+
+    @cached_property
+    def multiplicative(self) -> bool:
+        """1 together with powers of a single prime."""
+        if self.values[0] != 1 or self.values[-1] >= SIEVE_LIMIT:
+            return False
+        primes = set()
+        for v in self.values[1:]:
+            primes.update(factorize(v))
+        return len(primes) <= 1
 
     def contains(self, n: int) -> bool:
         return n in self.values
@@ -265,6 +300,10 @@ class PowersOf(SetDescription):
             raise ValueError("lo must be >= 0")
         if self.hi is not None and self.hi < self.lo:
             raise ValueError("hi must be >= lo")
+
+    @cached_property
+    def multiplicative(self) -> bool:
+        return self.lo == 0 and self.base < SIEVE_LIMIT and is_prime(self.base)
 
     def contains(self, n: int) -> bool:
         if n < 1:
@@ -291,6 +330,9 @@ class Primes(SetDescription):
     def contains(self, n: int) -> bool:
         return is_prime(n)
 
+    def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
+        return list(factors.values()) == [1]
+
     def iter_up_to(self, limit: int):
         return iter(primes_up_to(limit))
 
@@ -300,6 +342,9 @@ class PrimesWithOne(SetDescription):
     def contains(self, n: int) -> bool:
         return n == 1 or is_prime(n)
 
+    def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
+        return n == 1 or list(factors.values()) == [1]
+
     def iter_up_to(self, limit: int):
         if limit >= 1:
             yield 1
@@ -308,8 +353,16 @@ class PrimesWithOne(SetDescription):
 
 @dataclass(frozen=True)
 class Squarefree(SetDescription):
+    multiplicative = True
+
     def contains(self, n: int) -> bool:
         return n >= 1 and is_squarefree(n)
+
+    def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
+        return all(e == 1 for e in factors.values())
+
+    def prime_power_flags(self, p: int, e: int) -> list[bool]:
+        return [a <= 1 for a in range(e + 1)]
 
 
 @dataclass(frozen=True)
@@ -321,12 +374,16 @@ class SmoothOver(SetDescription):
 
     prime_class: PrimeClass
 
+    multiplicative = True
+
     def contains(self, n: int) -> bool:
-        if n < 1:
-            return False
-        if n == 1:
-            return True
-        return all(self.prime_class.contains_prime(p) for p in factorize(n))
+        return n >= 1 and self.contains_factored(n, factorize(n))
+
+    def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
+        return all(self.prime_class.contains_prime(p) for p in factors)
+
+    def prime_power_flags(self, p: int, e: int) -> list[bool]:
+        return [True] + [self.prime_class.contains_prime(p)] * e
 
 
 @dataclass(frozen=True)
@@ -340,6 +397,9 @@ class Union(SetDescription):
     def contains(self, n: int) -> bool:
         return any(part.contains(n) for part in self.parts)
 
+    def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
+        return any(part.contains_factored(n, factors) for part in self.parts)
+
 
 @dataclass(frozen=True)
 class Intersection(SetDescription):
@@ -349,11 +409,28 @@ class Intersection(SetDescription):
         if not self.parts:
             raise ValueError("Intersection needs at least one part")
 
+    @cached_property
+    def multiplicative(self) -> bool:
+        return all(part.multiplicative for part in self.parts)
+
     def contains(self, n: int) -> bool:
         return all(part.contains(n) for part in self.parts)
 
+    def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
+        return all(part.contains_factored(n, factors) for part in self.parts)
 
-@lru_cache(maxsize=None)
+    def prime_power_flags(self, p: int, e: int) -> list[bool]:
+        flags = [part.prime_power_flags(p, e) for part in self.parts]
+        return [all(ok) for ok in zip(*flags)]
+
+
+# Counting decides membership in tables of its own, one per call; this
+# cache serves witness checks, cover blocks and additive counts, and is
+# bounded so that it cannot grow for the life of the process.
+MEMBERSHIP_CACHE_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=MEMBERSHIP_CACHE_SIZE)
 def membership(d: SetDescription, n: int) -> bool:
     """True iff n belongs to the described set.  Total for 0 <= n <= 2^63-1."""
     if n < 0:
@@ -394,6 +471,12 @@ class MultiplicativeSystem:
     @property
     def h(self) -> int:
         return len(self.parts)
+
+    @cached_property
+    def multiplicative(self) -> bool:
+        """True when every part is multiplicative, so that the count is a
+        multiplicative function of n."""
+        return all(part.multiplicative for part in self.parts)
 
 
 def basis_system(b: SetDescription, h: int) -> MultiplicativeSystem:

@@ -1,10 +1,24 @@
 """Ordered multiplicative (and additive) representation counting.
 
-Counting strategy: factor n once, then recursively pick the i-th factor
-from the divisors of the remaining cofactor, pruning any prefix whose
-coordinate fails membership in its part.  Counts are exact Python
-integers; window scans return the min/max over a finite range, which is
-evidence about the tails, never a limit.
+g(n), the number of ordered tuples (b_1, ..., b_h) with b_i in part i
+and b_1 ... b_h = n, is the Dirichlet convolution of the parts'
+indicators evaluated at n.  count_system_reps factors n once and works
+on its divisor lattice, naming each divisor by its exponent vector.  It
+builds a table of suffix counts cnt_i(m), the number of representations
+of m | n by parts i..h-1, in one of two ways:
+
+  prime chains  when every part is multiplicative, the table factors
+                over the prime powers p^e exactly dividing n, and
+                g(n) = prod c(p, e), where c(p, e) counts the compositions
+                e = a_1 + ... + a_h with p^(a_i) in part i;
+  lattice       otherwise, level by level from the last part, with each
+                part's membership decided once per divisor of n.
+
+Tuples come from a lexicographic depth-first walk that enters a branch
+only when its suffix count is non-zero, so listing stops after tuple_cap
+tuples however large g(n) is.  Counts are exact Python integers; window
+scans return the min/max over a finite range, which is evidence about
+the tails, never a limit.
 """
 
 from __future__ import annotations
@@ -62,56 +76,170 @@ class WindowStats:
         }
 
 
-def _divisor_items(factors: dict[int, int]):
-    """All divisors of the integer with the given factorization, with
-    their own factorizations, sorted by divisor value."""
-    items: list[tuple[int, dict[int, int]]] = [(1, {})]
+def _divisor_values(factors: dict[int, int]) -> list[int]:
+    """The divisors of the integer with this factorization, in index order.
+
+    The divisor prod p_j^a_j has index sum a_j * s_j, where s_j is the
+    number of divisors over the primes before p_j.  If d divides m, the
+    index of m // d is index(m) - index(d).
+    """
+    values = [1]
     for p, e in factors.items():
-        grown = []
-        for d, f in items:
-            grown.append((d, f))
-            v = d
-            for a in range(1, e + 1):
-                v *= p
-                nf = dict(f)
-                nf[p] = a
-                grown.append((v, nf))
-        items = grown
-    items.sort(key=lambda item: item[0])
-    return items
+        values = [v * q for q in [p**a for a in range(e + 1)] for v in values]
+    return values
+
+
+def _exponents(x: int, exps: list[int]) -> list[int]:
+    """The exponent vector of the divisor with index x."""
+    vec = []
+    for e in exps:
+        x, a = divmod(x, e + 1)
+        vec.append(a)
+    return vec
+
+
+class _Lattice:
+    """Suffix counts over the divisor lattice of n, for any system.
+
+    cnt[i][x] is the number of representations of the divisor with index
+    x by parts i..h-1, for 1 <= i < h.  cnt[h-1] is the last part's
+    membership; each level above pairs the members d of part i with the
+    support r of the level below, keeping the pairs where d * r divides n.
+    Level 0 is needed at n alone, so part 0 is decided only at n // r for
+    the r in the support of level 1.
+    """
+
+    def __init__(self, parts, factors: dict[int, int]):
+        values = _divisor_values(factors)
+        facts = [{}]  # the factorization of each divisor
+        for p, e in factors.items():
+            facts = [{**f, p: a} if a else f for a in range(e + 1) for f in facts]
+        top = len(values) - 1  # the index of n
+
+        known = {}
+        for part in parts[1:]:
+            if id(part) not in known:
+                known[id(part)] = [
+                    part.contains_factored(v, f) for v, f in zip(values, facts)
+                ]
+        h = len(parts)
+        self.flags = [None] + [known[id(part)] for part in parts[1:]]
+        self.cnt = [None] * h
+        self.cnt[h - 1] = below = self.flags[h - 1]
+        for i in range(h - 2, 0, -1):
+            support = [(r, c) for r, c in enumerate(below) if c]
+            row = [0] * len(values)
+            for d in [d for d, ok in enumerate(self.flags[i]) if ok]:
+                rest = values[top - d]  # n // values[d]
+                for r, c in support:
+                    if rest % values[r] == 0:
+                        row[d + r] += c
+            self.cnt[i] = below = row
+        support = [(r, c) for r, c in enumerate(below) if c]
+        first = parts[0]
+        self.flags[0] = {
+            top - r: first.contains_factored(values[top - r], facts[top - r])
+            for r, _ in support
+        }
+        self.count = sum(c for r, c in support if self.flags[0][top - r])
+
+    def member(self, i: int, x: int) -> bool:
+        return self.flags[i][x]
+
+    def suffix(self, i: int, x: int) -> int:
+        return self.cnt[i][x]
+
+
+class _PrimeChains:
+    """Suffix counts of a system whose parts are all multiplicative.
+
+    Such a count factors over the prime powers p^e exactly dividing n.
+    For one prime p, let F_j(x) be the sum of x^a over the a <= e with
+    p^a in part j.  The coefficient of x^a in F_i ... F_{h-1} counts the
+    compositions a = a_i + ... + a_{h-1} with p^{a_j} in part j, and the
+    suffix count of prod p^{a_p} by parts i..h-1 is the product of these
+    coefficients over the primes.  The polynomials are evaluated at
+    x = 2^width (Kronecker substitution), so that one integer product
+    computes all coefficients: none exceeds (e+1)^h, which fits a digit.
+    """
+
+    def __init__(self, parts, factors: dict[int, int]):
+        self.exps = list(factors.values())
+        self.allowed = []  # per prime, per part: membership of p^0..p^e
+        self.chains = []  # per prime: (width, suffix products for levels 0..h)
+        self.count = 1
+        for p, e in factors.items():
+            allowed = [part.prime_power_flags(p, e) for part in parts]
+            width = len(parts) * (e + 1).bit_length()
+            product = 1
+            suffixes = [product]
+            for flags in reversed(allowed):
+                product *= sum(1 << (a * width) for a, ok in enumerate(flags) if ok)
+                suffixes.append(product)
+            suffixes.reverse()
+            self.allowed.append(allowed)
+            self.chains.append((width, suffixes))
+            self.count *= _digit(suffixes[0], e, width)
+
+    def member(self, i: int, x: int) -> bool:
+        vec = _exponents(x, self.exps)
+        return all(allowed[i][a] for allowed, a in zip(self.allowed, vec))
+
+    def suffix(self, i: int, x: int) -> int:
+        out = 1
+        for (width, suffixes), a in zip(self.chains, _exponents(x, self.exps)):
+            out *= _digit(suffixes[i], a, width)
+        return out
+
+
+def _digit(packed: int, a: int, width: int) -> int:
+    """The coefficient of x^a in a polynomial evaluated at x = 2^width."""
+    return (packed >> (a * width)) & ((1 << width) - 1)
+
+
+def _lex_tuples(table, n: int, h: int, factors: dict[int, int], cap: int):
+    """The first cap tuples in lexicographic order: a depth-first walk
+    over divisors in ascending order that enters a branch only when its
+    suffix count is non-zero, so every branch entered yields a tuple.
+    The suffix count is read before membership, which a table therefore
+    need decide only where the suffix count is non-zero."""
+    values = _divisor_values(factors)
+    ordered = sorted(zip(values, range(len(values))))
+    found: list[tuple[int, ...]] = []
+
+    def walk(i: int, m: int, x: int, prefix: tuple[int, ...]) -> None:
+        if i == h - 1:
+            found.append(prefix + (m,))
+            return
+        for v, d in ordered:
+            if v > m:
+                return
+            if m % v == 0 and table.suffix(i + 1, x - d) and table.member(i, d):
+                walk(i + 1, m // v, x - d, prefix + (v,))
+                if len(found) == cap:
+                    return
+
+    walk(0, n, len(values) - 1, ())
+    return tuple(found)
 
 
 def count_system_reps(
     system: MultiplicativeSystem, n: int, tuple_cap: int = DEFAULT_TUPLE_CAP
 ) -> RepWitness:
     """Exact number of ordered tuples (b_1,...,b_h) with b_i in parts[i]
-    and product n, plus up to tuple_cap explicit tuples."""
+    and product n, plus the first tuple_cap of them in lexicographic
+    order."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > MAX_INT:
         raise FactorizationLimitError(f"{n} exceeds 64-bit range")
-    parts = system.parts
-    h = len(parts)
     factors = factorize(n)
-    count = 0
-    found: list[tuple[int, ...]] = []
-
-    def rec(i: int, rem: dict[int, int], rem_value: int, prefix: tuple[int, ...]):
-        nonlocal count
-        if i == h - 1:
-            if membership(parts[i], rem_value):
-                count += 1
-                if len(found) < tuple_cap:
-                    found.append(prefix + (rem_value,))
-            return
-        for d, df in _divisor_items(rem):
-            if membership(parts[i], d):
-                nrem = {p: e - df.get(p, 0) for p, e in rem.items()}
-                nrem = {p: e for p, e in nrem.items() if e}
-                rec(i + 1, nrem, rem_value // d, prefix + (d,))
-
-    rec(0, factors, n, ())
-    return RepWitness(n, count, tuple(found), truncated=count > len(found))
+    engine = _PrimeChains if system.multiplicative else _Lattice
+    table = engine(system.parts, factors)
+    tuples = ()
+    if tuple_cap > 0 and table.count:
+        tuples = _lex_tuples(table, n, system.h, factors, tuple_cap)
+    return RepWitness(n, table.count, tuples, truncated=table.count > len(tuples))
 
 
 def count_basis_reps(
@@ -155,9 +283,15 @@ def window_stats(system: MultiplicativeSystem, lo: int, hi: int) -> WindowStats:
     """Exact min/max of g over [lo, hi]; ties resolved to the smallest n."""
     if lo < 2 or hi < lo:
         raise ValueError("need 2 <= lo <= hi")
+    return summarize_window(lo, hi, scan_counts(system, lo, hi))
+
+
+def summarize_window(lo: int, hi: int, counts) -> WindowStats:
+    """Min/max of the (n, count) pairs of [lo, hi], given in ascending n;
+    ties resolved to the smallest n."""
     min_count = max_count = None
     argmin = argmax = lo
-    for n, c in scan_counts(system, lo, hi):
+    for n, c in counts:
         if min_count is None or c < min_count:
             min_count, argmin = c, n
         if max_count is None or c > max_count:

@@ -126,7 +126,8 @@ def find_witness(
     system: MultiplicativeSystem, target: int, budget: SearchBudget
 ) -> SearchOutcome:
     """First candidate in stream order with count >= target, re-verified;
-    otherwise the search statistics (max count seen and where)."""
+    otherwise the search statistics (max count seen and where).  Only the
+    witness has its tuples listed."""
     if target < 1:
         raise ValueError("target must be >= 1")
     tried = 0
@@ -136,12 +137,13 @@ def find_witness(
         if tried >= budget.max_candidates:
             break
         tried += 1
-        w = count_system_reps(system, n)
-        if w.count > best:
-            best, best_n = w.count, n
-        elif w.count == best and best_n is not None and n < best_n:
+        count = count_system_reps(system, n, tuple_cap=0).count
+        if count > best:
+            best, best_n = count, n
+        elif count == best and best_n is not None and n < best_n:
             best_n = n
-        if w.count >= target:
+        if count >= target:
+            w = count_system_reps(system, n)
             check_witness(system, w)
             return SearchOutcome(w, tried, best, best_n)
     return SearchOutcome(None, tried, best, best_n)

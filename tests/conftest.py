@@ -28,6 +28,23 @@ def oracle_count_reps(system, n):
     return rec(0, n)
 
 
+def oracle_rep_tuples(system, n):
+    """Every ordered tuple of divisors of n, coordinate-wise in the parts,
+    whose product is n, sorted lexicographically."""
+    parts = system.parts
+    divs = naive_divisors(n)
+    out = []
+    for head in product(divs, repeat=len(parts) - 1):
+        prod = 1
+        for b in head:
+            prod *= b
+        if n % prod == 0:
+            t = head + (n // prod,)
+            if all(membership(part, b) for part, b in zip(parts, t)):
+                out.append(t)
+    return sorted(out)
+
+
 def oracle_count_covers(s, families):
     """Assign each element of s to one of h slots, test every block."""
     elems = sorted(s)

@@ -1,3 +1,5 @@
+from math import gcd, isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from multrep import (
     parse_set,
     parse_system,
 )
+from multrep import integer_sets
 from multrep.integer_sets import factorize, is_prime, prime_index, primes_up_to
 
 from conftest import sieve_squarefree
@@ -166,3 +169,62 @@ def test_parse_errors():
     for bad in ("Nope", "PowersOf(1,0)", "Singleton()", "AllNaturals extra"):
         with pytest.raises(ValueError):
             parse_set(bad)
+
+
+@pytest.mark.parametrize(
+    "d, multiplicative",
+    [
+        (AllNaturals(), True),
+        (Squarefree(), True),
+        (SmoothOver(IndexResidue(2, 1)), True),
+        (SmoothOver(ExplicitList((3, 5))), True),
+        (Singleton((1,)), True),
+        (Singleton((1, 2, 8)), True),
+        (Singleton((1, 2, 3)), False),
+        (Singleton((0, 1)), False),
+        (Singleton((2, 4)), False),
+        (PowersOf(3, 0, 4), True),
+        (PowersOf(3, 1), False),
+        (PowersOf(6, 0), False),
+        (Primes(), False),
+        (PrimesWithOne(), False),
+        (Union((AllNaturals(),)), False),
+        (Intersection((Squarefree(), PowersOf(2, 0))), True),
+        (Intersection((Squarefree(), Primes())), False),
+    ],
+)
+def test_multiplicative_kinds(d, multiplicative):
+    assert d.multiplicative == multiplicative
+    if multiplicative:
+        assert membership(d, 1)
+        for a in range(2, 60):
+            for b in range(2, 60):
+                if gcd(a, b) == 1:
+                    both = membership(d, a) and membership(d, b)
+                    assert membership(d, a * b) == both
+
+
+def test_membership_cache_is_bounded():
+    maxsize = membership.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(maxsize + 100):
+        membership(AllNaturals(), n)
+    assert membership.cache_info().currsize <= maxsize
+
+
+def test_sieve_matches_plain_sieve(monkeypatch):
+    limit = 1 << 17
+    monkeypatch.setattr(integer_sets, "_spf", [])
+    monkeypatch.setattr(integer_sets, "_primes", [])
+    monkeypatch.setattr(integer_sets, "_prime_index", {})
+    integer_sets._ensure_sieve(limit)
+    spf = list(range(limit + 1))
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == p:
+            for q in range(p * p, limit + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    primes = [n for n in range(2, limit + 1) if spf[n] == n]
+    assert integer_sets._spf == spf
+    assert integer_sets._primes == primes
+    assert integer_sets._prime_index == {p: i + 1 for i, p in enumerate(primes)}

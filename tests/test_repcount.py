@@ -1,24 +1,41 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multrep import (
     AllNaturals,
+    Complement,
+    ExplicitList,
     FactorizationLimitError,
+    IndexResidue,
+    Intersection,
     MultiplicativeSystem,
+    PowersOf,
+    Primes,
     PrimesWithOne,
     Singleton,
+    SmoothOver,
     Squarefree,
     Union,
+    basis_system,
     build,
     count_additive_reps,
     count_basis_reps,
     count_system_reps,
     omega,
+    primorials,
     window_stats,
 )
 
-from conftest import naive_divisors, oracle_count_reps, sieve_squarefree
+from conftest import (
+    naive_divisors,
+    oracle_count_reps,
+    oracle_rep_tuples,
+    sieve_squarefree,
+)
 
 
 def test_fundamental_system_count_is_one():
@@ -161,3 +178,113 @@ def test_input_validation():
         count_system_reps(system, 2**63)
     with pytest.raises(ValueError):
         window_stats(system, 1, 10)
+
+
+# random systems drawn from every set kind; the multiplicative leaves are
+# those whose indicator is multiplicative, so their systems take the
+# per-prime path and the others the lattice
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+prime_classes = st.one_of(
+    st.integers(2, 4).flatmap(
+        lambda m: st.builds(IndexResidue, st.just(m), st.integers(0, m - 1))
+    ),
+    st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=4).map(
+        lambda ps: ExplicitList(tuple(ps))
+    ),
+    st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=3).map(
+        lambda ps: Complement(ExplicitList((ps[0],)), tuple(ps))
+    ),
+)
+multiplicative_leaves = st.one_of(
+    st.just(AllNaturals()),
+    st.just(Squarefree()),
+    st.builds(SmoothOver, prime_classes),
+    st.tuples(st.sampled_from((2, 3, 5)), st.sets(st.integers(1, 5), max_size=3)).map(
+        lambda pe: Singleton((1,) + tuple(pe[0] ** a for a in pe[1]))
+    ),
+    st.builds(
+        PowersOf, st.sampled_from((2, 3, 7)), st.just(0), st.none() | st.integers(0, 4)
+    ),
+)
+other_leaves = st.one_of(
+    st.just(Primes()),
+    st.just(PrimesWithOne()),
+    st.sets(
+        st.sampled_from((0, 1, 2, 3, 4, 6, 8, 9, 12, 30)), min_size=1, max_size=5
+    ).map(lambda vs: Singleton(tuple(vs))),
+    st.builds(
+        PowersOf,
+        st.sampled_from((2, 3, 4, 6)),
+        st.integers(1, 2),
+        st.none() | st.integers(2, 5),
+    ),
+    st.builds(
+        PowersOf, st.sampled_from((4, 6, 12)), st.just(0), st.none() | st.integers(0, 3)
+    ),
+)
+leaves = multiplicative_leaves | other_leaves
+any_sets = st.one_of(
+    leaves,
+    st.lists(leaves, min_size=1, max_size=3).map(lambda ps: Union(tuple(ps))),
+    st.lists(leaves, min_size=1, max_size=3).map(lambda ps: Intersection(tuple(ps))),
+)
+multiplicative_sets = multiplicative_leaves | st.lists(
+    multiplicative_leaves, min_size=1, max_size=3
+).map(lambda ps: Intersection(tuple(ps)))
+arguments = st.integers(1, 3000) | st.sampled_from((720, 1024, 1680, 2310, 2520, 2880))
+
+
+def systems(parts):
+    return st.lists(parts, min_size=2, max_size=4).map(
+        lambda ps: MultiplicativeSystem(tuple(ps))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(multiplicative_sets), arguments)
+def test_multiplicative_systems_match_oracle(system, n):
+    assert system.multiplicative
+    count = count_system_reps(system, n, tuple_cap=0).count
+    assert count == oracle_count_reps(system, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(any_sets), arguments)
+def test_any_system_matches_oracle(system, n):
+    count = count_system_reps(system, n, tuple_cap=0).count
+    assert count == oracle_count_reps(system, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(any_sets), st.integers(1, 1000), st.sampled_from((1, 3, 64)))
+def test_listing_is_lexicographic_prefix(system, n, cap):
+    expected = oracle_rep_tuples(system, n)
+    w = count_system_reps(system, n, tuple_cap=cap)
+    assert w.count == len(expected)
+    assert list(w.tuples) == expected[:cap]
+    assert w.truncated == (len(expected) > cap)
+
+
+def test_primorial_under_naturals_cubed():
+    n = primorials()[-1]  # the product of the first 15 primes
+    system = basis_system(AllNaturals(), 3)
+    start = time.perf_counter()
+    w = count_system_reps(system, n)
+    elapsed = time.perf_counter() - start
+    assert w.count == 3**15
+    assert len(w.tuples) == 64 and w.truncated
+    assert w.tuples[:2] == ((1, 1, n), (1, 2, n // 2))
+    assert elapsed < 1.0
+
+
+def test_large_prime_parameters_are_prompt():
+    # whether these parts are multiplicative is decided without trial
+    # division of the Mersenne prime 2^61 - 1
+    m61 = 2**61 - 1
+    system = MultiplicativeSystem(
+        (AllNaturals(), PowersOf(m61, 0), Singleton((1, m61)))
+    )
+    start = time.perf_counter()
+    w = count_system_reps(system, 6)
+    assert time.perf_counter() - start < 1.0
+    assert (w.count, w.tuples) == (1, ((6, 1, 1),))

@@ -8,6 +8,7 @@ from multrep import (
     basis_system,
     build,
     candidate_stream,
+    count_system_reps,
     find_witness,
 )
 
@@ -53,6 +54,8 @@ def test_find_witness_divisor_rich():
     assert outcome.witness is not None
     n = outcome.witness.n
     assert outcome.witness.count == len(naive_divisors(n)) >= 12
+    # the witness carries the same tuple listing as a direct count
+    assert outcome.witness == count_system_reps(system, n)
     # exhaustive order: no smaller integer qualifies
     assert all(len(naive_divisors(m)) < 12 for m in range(2, n))
 
