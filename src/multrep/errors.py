@@ -6,7 +6,7 @@ class ResourceLimitError(RuntimeError):
 
 
 class FactorizationLimitError(RuntimeError):
-    """The integer exceeds the trial-division budget (or 64-bit range)."""
+    """The integer is above 64-bit range (2^63 - 1)."""
 
 
 class NotSquarefreeError(ValueError):

@@ -18,7 +18,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import compress, count
 
 from .errors import FactorizationLimitError, ResourceLimitError
 
@@ -26,6 +26,18 @@ MAX_INT = 2**63 - 1
 
 # is_prime and factorize read the smallest-prime-factor sieve below this
 SIEVE_LIMIT = 1 << 20
+
+# prime_index grows the sieve up to p; at 2^22 that holds about 240 MB
+PRIME_INDEX_LIMIT = 1 << 22
+
+# Miller-Rabin with these bases decides every n < 3.3e24 (Sorenson and
+# Webster 2015), which covers the 64-bit range
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# factorize divides out the primes up to this before it runs rho, which
+# multiplies _RHO_BATCH differences together between two gcds
+_TRIAL_PRIME_LIMIT = 1000
+_RHO_BATCH = 128
 
 DEFAULT_ELEMENT_CAP = 1_000_000
 
@@ -60,6 +72,9 @@ def _ensure_sieve(limit: int) -> None:
 
 
 def is_prime(n: int) -> bool:
+    """Exact primality for n <= 2^63-1: a sieve lookup below SIEVE_LIMIT,
+    deterministic Miller-Rabin above it.  Raises FactorizationLimitError
+    above 64-bit range."""
     if n < 2:
         return False
     if n < len(_spf):
@@ -67,11 +82,23 @@ def is_prime(n: int) -> bool:
     if n < SIEVE_LIMIT:
         _ensure_sieve(n)
         return _spf[n] == n
-    if n % 2 == 0:
-        return n == 2
-    # deterministic trial division; desk-scale n only
-    for d in range(3, math.isqrt(n) + 1, 2):
-        if n % d == 0:
+    if n > MAX_INT:
+        raise FactorizationLimitError(f"{n} exceeds 64-bit range")
+    for a in _MR_BASES:
+        if n % a == 0:
+            return False
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -84,7 +111,16 @@ def primes_up_to(n: int) -> list[int]:
 
 
 def prime_index(p: int) -> int:
-    """1-based index of the prime p (prime_index(2) == 1)."""
+    """1-based index of the prime p (prime_index(2) == 1).
+
+    Read from the sieve, which this grows up to p; raises
+    ResourceLimitError for p >= PRIME_INDEX_LIMIT rather than outgrow
+    memory, and ValueError when p is not prime.
+    """
+    if p >= PRIME_INDEX_LIMIT:
+        raise ResourceLimitError(
+            f"the index of {p} needs a sieve beyond {PRIME_INDEX_LIMIT}"
+        )
     _ensure_sieve(p)
     try:
         return _prime_index[p]
@@ -103,11 +139,43 @@ def nth_prime(k: int) -> int:
         limit *= 2
 
 
-def factorize(n: int, budget: int = 1_000_000) -> dict[int, int]:
-    """Prime factorization of n as {prime: exponent}.
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of a composite n that has no prime factor up to
+    _TRIAL_PRIME_LIMIT, by Brent's variant of Pollard's rho (Brent 1980)."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            # the batch passed the collision: step up to it one term at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
 
-    Trial division only; raises FactorizationLimitError when n is out of
-    64-bit range or the unfactored cofactor exceeds the division budget.
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of n as {prime: exponent}, primes ascending.
+
+    Total on [1, 2^63-1].  Below SIEVE_LIMIT n is read from the
+    smallest-prime-factor sieve.  Above it the primes up to
+    _TRIAL_PRIME_LIMIT are divided out, and each cofactor is read from
+    the sieve, proved prime by is_prime or split by Pollard-Brent rho.
+    Raises ValueError for n < 1 and FactorizationLimitError above 64-bit
+    range.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -124,9 +192,9 @@ def factorize(n: int, budget: int = 1_000_000) -> dict[int, int]:
                 e += 1
             factors[p] = e
         return factors
-    bound = min(math.isqrt(n), budget)
-    for p in primes_up_to(bound):
-        if p * p > n:
+    _ensure_sieve(SIEVE_LIMIT)
+    for p in _primes:
+        if p > _TRIAL_PRIME_LIMIT or n < SIEVE_LIMIT:
             break
         if n % p == 0:
             e = 0
@@ -134,14 +202,20 @@ def factorize(n: int, budget: int = 1_000_000) -> dict[int, int]:
                 n //= p
                 e += 1
             factors[p] = e
-    if n > 1:
-        if n <= bound * bound or is_prime(n):
-            factors[n] = factors.get(n, 0) + 1
+    cofactors = [n]
+    while cofactors:
+        m = cofactors.pop()
+        if m < SIEVE_LIMIT:
+            while m > 1:
+                p = _spf[m]
+                m //= p
+                factors[p] = factors.get(p, 0) + 1
+        elif is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
         else:
-            raise FactorizationLimitError(
-                f"cofactor {n} exceeds the trial-division budget"
-            )
-    return factors
+            d = _pollard_brent(m)
+            cofactors += (d, m // d)
+    return dict(sorted(factors.items()))
 
 
 def is_squarefree(n: int) -> bool:
@@ -171,7 +245,11 @@ class IndexResidue(PrimeClass):
             raise ValueError("residue out of range")
 
     def contains_prime(self, p: int) -> bool:
-        return is_prime(p) and prime_index(p) % self.modulus == self.residue
+        """Raises ResourceLimitError for p >= PRIME_INDEX_LIMIT."""
+        try:
+            return prime_index(p) % self.modulus == self.residue
+        except ValueError:
+            return False
 
 
 @dataclass(frozen=True)
@@ -216,9 +294,9 @@ class SetDescription:
 
     multiplicative is True for kinds whose indicator f is multiplicative
     (f(1) = 1 and f(ab) = f(a) f(b) for coprime a, b), so that membership
-    of n is decided by the prime powers exactly dividing n.  It is read
-    from the sieve alone: a set whose parameters reach beyond it counts as
-    not multiplicative, which costs speed, never exactness.
+    of n is decided by the prime powers exactly dividing n.  A set whose
+    parameters reach beyond 64-bit range counts as not multiplicative,
+    which costs speed, never exactness.
     """
 
     multiplicative = False
@@ -271,7 +349,7 @@ class Singleton(SetDescription):
     @cached_property
     def multiplicative(self) -> bool:
         """1 together with powers of a single prime."""
-        if self.values[0] != 1 or self.values[-1] >= SIEVE_LIMIT:
+        if self.values[0] != 1 or self.values[-1] > MAX_INT:
             return False
         primes = set()
         for v in self.values[1:]:
@@ -303,7 +381,7 @@ class PowersOf(SetDescription):
 
     @cached_property
     def multiplicative(self) -> bool:
-        return self.lo == 0 and self.base < SIEVE_LIMIT and is_prime(self.base)
+        return self.lo == 0 and self.base <= MAX_INT and is_prime(self.base)
 
     def contains(self, n: int) -> bool:
         if n < 1:

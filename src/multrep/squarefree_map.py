@@ -52,6 +52,14 @@ def prime_set(primes) -> PrimeSet:
     return PrimeSet(tuple(sorted(set(primes))))
 
 
+def _checked_prime_set(primes: tuple[int, ...]) -> PrimeSet:
+    """A PrimeSet of primes that already passed PrimeSet's checks, built
+    without running them again."""
+    s = object.__new__(PrimeSet)
+    object.__setattr__(s, "primes", primes)
+    return s
+
+
 def omega(n: int) -> int:
     """Number of distinct prime divisors; omega(1) == 0."""
     return len(factorize(n))
@@ -95,5 +103,5 @@ def factorizations_as_partitions(
         slots: list[list[int]] = [[] for _ in range(h)]
         for p, slot in zip(ps, word):
             slots[slot].append(p)
-        out.append(tuple(PrimeSet(tuple(block)) for block in slots))
+        out.append(tuple(_checked_prime_set(tuple(block)) for block in slots))
     return out

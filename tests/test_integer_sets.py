@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+import time
 from math import gcd, isqrt
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +19,7 @@ from multrep import (
     PowersOf,
     Primes,
     PrimesWithOne,
+    FactorizationLimitError,
     ResourceLimitError,
     Singleton,
     SmoothOver,
@@ -25,7 +31,14 @@ from multrep import (
     parse_system,
 )
 from multrep import integer_sets
-from multrep.integer_sets import factorize, is_prime, prime_index, primes_up_to
+from multrep.integer_sets import (
+    MAX_INT,
+    PRIME_INDEX_LIMIT,
+    factorize,
+    is_prime,
+    prime_index,
+    primes_up_to,
+)
 
 from conftest import sieve_squarefree
 
@@ -127,6 +140,86 @@ def test_prime_index_is_one_based():
         prime_index(4)
 
 
+def test_prime_index_refuses_a_sieve_beyond_its_cap():
+    p = sympy.nextprime(PRIME_INDEX_LIMIT)
+    with pytest.raises(ResourceLimitError):
+        prime_index(p)
+    with pytest.raises(ResourceLimitError):
+        IndexResidue(2, 0).contains_prime(p)
+    assert len(integer_sets._spf) <= PRIME_INDEX_LIMIT
+
+
+# sympy is the oracle here only; the library imports nothing outside the
+# standard library
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=MAX_INT))
+def test_factorize_and_is_prime_match_sympy(n):
+    factors = factorize(n)
+    assert factors == sympy.factorint(n)
+    assert list(factors) == sorted(factors)
+    assert is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_matches_sympy_below_5000():
+    assert [n for n in range(1, 5001) if is_prime(n)] == list(
+        sympy.primerange(1, 5001)
+    )
+
+
+P31 = sympy.prevprime(2**31)
+P21 = sympy.prevprime(2**21)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        P31**2,
+        P21**2,
+        P21**3,
+        P31 * sympy.prevprime(P31),
+        sympy.nextprime(2**31) * sympy.prevprime(2**31 - 2**20),
+        2**61 - 1,
+        561,
+        41041,
+        3825123056546413051,  # strong pseudoprime to the bases 2, 3, ..., 23
+        MAX_INT,
+    ],
+)
+def test_factorize_hard_cases(n):
+    factors = factorize(n)
+    assert factors == sympy.factorint(n)
+    assert list(factors) == sorted(factors)
+    assert is_prime(n) == sympy.isprime(n)
+
+
+def test_factorize_rejects_beyond_64_bits():
+    for n in (2**63, P31**3):
+        with pytest.raises(FactorizationLimitError):
+            factorize(n)
+    with pytest.raises(FactorizationLimitError):
+        is_prime(2**89 - 1)
+
+
+def test_62_bit_semiprime_is_prompt():
+    a = sympy.prevprime(3 * 2**29)
+    b = sympy.nextprime(5 * 2**29)
+    start = time.perf_counter()
+    assert factorize(a * b) == {a: 1, b: 1}
+    assert time.perf_counter() - start < 1.0
+
+
+def test_library_runs_without_site_packages():
+    # -S leaves site-packages, and with it sympy, off the import path
+    src = os.path.dirname(os.path.dirname(integer_sets.__file__))
+    code = "import multrep; print(multrep.integer_sets.factorize(2**62 + 1))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == str(factorize(2**62 + 1))
+
+
 def test_enumeration_cap():
     with pytest.raises(ResourceLimitError):
         enumerate_up_to(AllNaturals(), 1000, cap=10)
@@ -191,6 +284,10 @@ def test_parse_errors():
         (Union((AllNaturals(),)), False),
         (Intersection((Squarefree(), PowersOf(2, 0))), True),
         (Intersection((Squarefree(), Primes())), False),
+        (Singleton((1, 2**61 - 1)), True),
+        (PowersOf(2**61 - 1, 0), True),
+        (Singleton((1, 2**89 - 1)), False),
+        (PowersOf(2**89 - 1, 0), False),
     ],
 )
 def test_multiplicative_kinds(d, multiplicative):

@@ -16,6 +16,7 @@ from multrep import (
     PowersOf,
     Primes,
     PrimesWithOne,
+    ResourceLimitError,
     Singleton,
     SmoothOver,
     Squarefree,
@@ -288,3 +289,12 @@ def test_large_prime_parameters_are_prompt():
     w = count_system_reps(system, 6)
     assert time.perf_counter() - start < 1.0
     assert (w.count, w.tuples) == (1, ((6, 1, 1),))
+
+
+def test_huge_prime_under_fundamental_raises_promptly():
+    # the prime's index would need a sieve of about 2^32 entries
+    p = 4294967311  # the least prime above 2^32
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        count_system_reps(build("fundamental", 2).system, 8 * p)
+    assert time.perf_counter() - start < 1.0

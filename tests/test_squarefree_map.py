@@ -54,6 +54,14 @@ def test_prime_set_validation():
         prime_set([p for p in sieve_squarefree(200) if omega(p) == 1 and p > 1][:20])
 
 
+def test_partition_blocks_equal_checked_prime_sets():
+    q = 2 * 3 * 5 * 7 * 11
+    for blocks in factorizations_as_partitions(q, 3):
+        assert blocks == tuple(PrimeSet(b.primes) for b in blocks)
+    with pytest.raises(ValueError):
+        PrimeSet((4,))
+
+
 def test_partitions_q6_h2():
     parts = factorizations_as_partitions(6, 2)
     as_sets = [tuple(frozenset(b) for b in t) for t in parts]
