@@ -6,8 +6,16 @@ import argparse
 import csv
 import sys
 
-from multrep import scan_counts, window_stats
+from multrep import scan_counts
 from multrep.cli import parse_system_spec
+from multrep.repcount import summarize_window
+
+
+def written(writer, rows):
+    """Pass the rows on, writing each as it passes."""
+    for row in rows:
+        writer.writerow(row)
+        yield row
 
 
 def main():
@@ -16,12 +24,16 @@ def main():
     parser.add_argument("--lo", type=int, default=2)
     parser.add_argument("--hi", type=int, default=10_000)
     args = parser.parse_args()
+    # the summary, like window_stats, covers n >= 2
+    lo = max(args.lo, 2)
+    if args.lo < 1 or args.hi < lo:
+        parser.error("need 1 <= lo <= hi and hi >= 2")
 
     system = parse_system_spec(args.system)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["n", "count"])
-    writer.writerows(scan_counts(system, args.lo, args.hi))
-    stats = window_stats(system, max(args.lo, 2), args.hi)
+    counts = written(writer, scan_counts(system, args.lo, args.hi))
+    stats = summarize_window(lo, args.hi, (nc for nc in counts if nc[0] >= lo))
     print(f"window evidence: {stats.to_record()}", file=sys.stderr)
 
 

@@ -34,7 +34,7 @@ from .integer_sets import (
     primes_up_to,
     nth_prime,
 )
-from .repcount import WindowStats, count_system_reps, summarize_window
+from .repcount import WindowStats, count_system_reps, scan_counts, summarize_window
 from .set_partitions import multinomial
 
 INFINITE = math.inf
@@ -170,8 +170,7 @@ def verify(
     def checked_counts():
         """(n, brute-force count) for n in [2, scan_max], recording every
         n <= scan_max whose closed form disagrees."""
-        for n in range(1, scan_max + 1):
-            brute = count_system_reps(system, n, tuple_cap=0).count
+        for n, brute in scan_counts(system, 1, scan_max):
             closed = closed_form(construction, n)
             if closed != brute:
                 mismatches.append((n, closed, brute))

@@ -13,6 +13,7 @@ nonempty, and cover all primes.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from bisect import bisect_right
@@ -54,7 +55,7 @@ def _ensure_sieve(limit: int) -> None:
     global _spf, _primes, _prime_index
     if limit < len(_spf):
         return
-    limit = max(limit, 2 * len(_spf), 1 << 16)
+    limit = max(limit, min(2 * len(_spf), PRIME_INDEX_LIMIT), 1 << 16)
     root = math.isqrt(limit)
     prime = bytearray([1]) * (limit + 1)
     prime[:2] = b"\0\0"
@@ -104,8 +105,15 @@ def is_prime(n: int) -> bool:
 
 
 def primes_up_to(n: int) -> list[int]:
+    """The primes p <= n, ascending, read from the sieve, which this
+    grows up to n; raises ResourceLimitError for n >= PRIME_INDEX_LIMIT
+    rather than outgrow memory."""
     if n < 2:
         return []
+    if n >= PRIME_INDEX_LIMIT:
+        raise ResourceLimitError(
+            f"the primes up to {n} need a sieve beyond {PRIME_INDEX_LIMIT}"
+        )
     _ensure_sieve(n)
     return _primes[: bisect_right(_primes, n)]
 
@@ -129,14 +137,22 @@ def prime_index(p: int) -> int:
 
 
 def nth_prime(k: int) -> int:
+    """The k-th prime (nth_prime(1) == 2), read from the sieve, which this
+    grows by doubling; raises ResourceLimitError when the k-th prime is
+    not below PRIME_INDEX_LIMIT rather than outgrow memory."""
     if k < 1:
         raise ValueError("k must be >= 1")
     limit = 1 << 16
-    while True:
-        _ensure_sieve(limit)
-        if len(_primes) >= k:
-            return _primes[k - 1]
+    while len(_primes) < k:
+        # the k-th prime exceeds k ln k (Rosser 1939), so such k are
+        # refused before the sieve grows
+        if limit > PRIME_INDEX_LIMIT or k * math.log(k) >= PRIME_INDEX_LIMIT:
+            raise ResourceLimitError(
+                f"the prime of index {k} needs a sieve beyond {PRIME_INDEX_LIMIT}"
+            )
+        _ensure_sieve(min(limit, PRIME_INDEX_LIMIT - 1))
         limit *= 2
+    return _primes[k - 1]
 
 
 def _pollard_brent(n: int) -> int:
@@ -314,6 +330,7 @@ class SetDescription:
         return [self.contains(p**a) for a in range(e + 1)]
 
     def iter_up_to(self, limit: int):
+        """The members in [1, limit], ascending and without duplicates."""
         # generic fallback: scan and filter
         return (n for n in range(1, limit + 1) if self.contains(n))
 
@@ -478,6 +495,13 @@ class Union(SetDescription):
     def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
         return any(part.contains_factored(n, factors) for part in self.parts)
 
+    def iter_up_to(self, limit: int):
+        last = None
+        for v in heapq.merge(*(part.iter_up_to(limit) for part in self.parts)):
+            if v != last:
+                yield v
+                last = v
+
 
 @dataclass(frozen=True)
 class Intersection(SetDescription):
@@ -501,6 +525,12 @@ class Intersection(SetDescription):
         flags = [part.prime_power_flags(p, e) for part in self.parts]
         return [all(ok) for ok in zip(*flags)]
 
+    def iter_up_to(self, limit: int):
+        first, *rest = self.parts
+        for v in first.iter_up_to(limit):
+            if all(part.contains(v) for part in rest):
+                yield v
+
 
 # Counting decides membership in tables of its own, one per call; this
 # cache serves witness checks, cover blocks and additive counts, and is
@@ -522,14 +552,14 @@ def enumerate_up_to(
     """All members <= limit, ascending, no duplicates."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    out: set[int] = set()
+    out: list[int] = []
     for v in d.iter_up_to(limit):
-        out.add(v)
-        if len(out) > cap:
+        if len(out) == cap:
             raise ResourceLimitError(
                 f"enumeration exceeds the element cap {cap}"
             )
-    return sorted(out)
+        out.append(v)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,18 +16,22 @@ of m | n by parts i..h-1, in one of two ways:
 
 Tuples come from a lexicographic depth-first walk that enters a branch
 only when its suffix count is non-zero, so listing stops after tuple_cap
-tuples however large g(n) is.  Counts are exact Python integers; window
-scans return the min/max over a finite range, which is evidence about
-the tails, never a limit.
+tuples however large g(n) is.  Window scans count a whole window in one
+convolution pass (_window_counts).  Counts are exact Python integers;
+window scans return the min/max over a finite range, which is evidence
+about the tails, never a limit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import FactorizationLimitError
 from .integer_sets import (
     MAX_INT,
+    SIEVE_LIMIT,
     MultiplicativeSystem,
     SetDescription,
     basis_system,
@@ -169,14 +173,7 @@ class _PrimeChains:
         self.chains = []  # per prime: (width, suffix products for levels 0..h)
         self.count = 1
         for p, e in factors.items():
-            allowed = [part.prime_power_flags(p, e) for part in parts]
-            width = len(parts) * (e + 1).bit_length()
-            product = 1
-            suffixes = [product]
-            for flags in reversed(allowed):
-                product *= sum(1 << (a * width) for a, ok in enumerate(flags) if ok)
-                suffixes.append(product)
-            suffixes.reverse()
+            allowed, width, suffixes = _prime_chain(parts, p, e)
             self.allowed.append(allowed)
             self.chains.append((width, suffixes))
             self.count *= _digit(suffixes[0], e, width)
@@ -190,6 +187,22 @@ class _PrimeChains:
         for (width, suffixes), a in zip(self.chains, _exponents(x, self.exps)):
             out *= _digit(suffixes[i], a, width)
         return out
+
+
+def _prime_chain(parts, p: int, e: int):
+    """For the prime p and the exponents 0..e: the parts' memberships of
+    p^0..p^e, the digit width, and for i = 0..h the product of the
+    exponent polynomials of parts i..h-1 evaluated at x = 2^width."""
+    allowed = [part.prime_power_flags(p, e) for part in parts]
+    width = len(parts) * (e + 1).bit_length()
+    units = [1 << (a * width) for a in range(e + 1)]
+    product = 1
+    suffixes = [product]
+    for flags in reversed(allowed):
+        product *= sum(compress(units, flags))
+        suffixes.append(product)
+    suffixes.reverse()
+    return allowed, width, suffixes
 
 
 def _digit(packed: int, a: int, width: int) -> int:
@@ -271,12 +284,70 @@ def count_additive_reps(a: SetDescription, h: int, n: int) -> int:
     return ways[n]
 
 
+def _window_counts(system: MultiplicativeSystem, lo: int, hi: int):
+    """Yield g(n) for n in [lo, hi], counting the window in one pass.
+
+    The count does not depend on the order of the parts, so g is the
+    Dirichlet convolution F * G.  F(m) counts the tuples of the parts
+    that are not multiplicative with product m <= hi, convolved from
+    their sorted members; G(k) = prod c(p, e) over the p^e exactly
+    dividing k counts those of the multiplicative parts, as the prime
+    chains do.  g(n) sums F(m) G(n / m) over the m in the support of F,
+    found by walking the multiples of each m in the window.  Members are
+    listed only below SIEVE_LIMIT; above it a system with a part that is
+    not multiplicative is counted one n at a time.  The tables live for
+    one call, and c(p, e) is kept only for p below SIEVE_LIMIT, so they
+    are bounded.  Where a count can raise (above SIEVE_LIMIT: a
+    factorization or a prime index out of range), counts are computed
+    as they are yielded, so a scan yields every count before that one.
+    """
+    mult = [part for part in system.parts if part.multiplicative]
+    rest = [part for part in system.parts if not part.multiplicative]
+    if rest and hi >= SIEVE_LIMIT:
+        for n in range(lo, hi + 1):
+            yield count_system_reps(system, n, tuple_cap=0).count
+        return
+    conv = {1: 1}
+    for part in rest:
+        members = list(part.iter_up_to(hi))
+        nxt: dict[int, int] = {}
+        for m, c in conv.items():
+            for d in members[: bisect_right(members, hi // m)]:
+                nxt[m * d] = nxt.get(m * d, 0) + c
+        conv = nxt
+    digits: dict[tuple[int, int], int] = {}  # c(p, e)
+
+    def chains(k: int) -> int:  # G(k)
+        g = 1
+        for pe in factorize(k).items():
+            c = digits.get(pe)
+            if c is None:
+                _, width, suffixes = _prime_chain(mult, *pe)
+                c = _digit(suffixes[0], pe[1], width)
+                if pe[0] < SIEVE_LIMIT:
+                    digits[pe] = c
+            g *= c
+        return g
+
+    if conv == {1: 1}:  # the other parts contribute only 1 to a product
+        yield from map(chains, range(lo, hi + 1))
+        return
+    memo: dict[int, int] = {}  # G(k)
+    counts = [0] * (hi - lo + 1)
+    for m, c in conv.items():
+        for k in range(-(-lo // m), hi // m + 1):
+            g = memo.get(k)
+            if g is None:
+                g = memo[k] = chains(k)
+            counts[k * m - lo] += c * g
+    yield from counts
+
+
 def scan_counts(system: MultiplicativeSystem, lo: int, hi: int):
     """Yield (n, g(n)) for n in [lo, hi]."""
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
-    for n in range(lo, hi + 1):
-        yield n, count_system_reps(system, n, tuple_cap=0).count
+    yield from zip(range(lo, hi + 1), _window_counts(system, lo, hi))
 
 
 def window_stats(system: MultiplicativeSystem, lo: int, hi: int) -> WindowStats:

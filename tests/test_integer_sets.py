@@ -36,6 +36,7 @@ from multrep.integer_sets import (
     PRIME_INDEX_LIMIT,
     factorize,
     is_prime,
+    nth_prime,
     prime_index,
     primes_up_to,
 )
@@ -147,6 +148,20 @@ def test_prime_index_refuses_a_sieve_beyond_its_cap():
     with pytest.raises(ResourceLimitError):
         IndexResidue(2, 0).contains_prime(p)
     assert len(integer_sets._spf) <= PRIME_INDEX_LIMIT
+
+
+def test_prime_tables_refuse_a_sieve_beyond_the_cap():
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        primes_up_to(PRIME_INDEX_LIMIT)
+    with pytest.raises(ResourceLimitError):
+        nth_prime(10**6)
+    assert time.perf_counter() - start < 1.0
+    assert len(integer_sets._spf) <= PRIME_INDEX_LIMIT
+    assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert [nth_prime(k) for k in (1, 2, 6, 1000, 10**5)] == [
+        2, 3, 13, 7919, sympy.prime(10**5),
+    ]
 
 
 # sympy is the oracle here only; the library imports nothing outside the

@@ -1,5 +1,7 @@
+import gc
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -26,10 +28,14 @@ from multrep import (
     count_additive_reps,
     count_basis_reps,
     count_system_reps,
+    enumerate_up_to,
     omega,
     primorials,
+    scan_counts,
     window_stats,
 )
+from multrep.catalog import closed_form
+from multrep.integer_sets import SIEVE_LIMIT, primes_up_to
 
 from conftest import (
     naive_divisors,
@@ -179,6 +185,12 @@ def test_input_validation():
         count_system_reps(system, 2**63)
     with pytest.raises(ValueError):
         window_stats(system, 1, 10)
+    with pytest.raises(ValueError):
+        window_stats(system, 10, 9)
+    with pytest.raises(ValueError):
+        list(scan_counts(system, 0, 10))
+    with pytest.raises(ValueError):
+        list(scan_counts(system, 10, 9))
 
 
 # random systems drawn from every set kind; the multiplicative leaves are
@@ -298,3 +310,116 @@ def test_huge_prime_under_fundamental_raises_promptly():
     with pytest.raises(ResourceLimitError):
         count_system_reps(build("fundamental", 2).system, 8 * p)
     assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_sets, st.integers(1, 3000))
+def test_enumeration_matches_membership_filter(d, limit):
+    assert enumerate_up_to(d, limit) == [
+        n for n in range(1, limit + 1) if d.contains(n)
+    ]
+
+
+def outcomes(counts):
+    """The counts in order, up to a ResourceLimitError, which ends the
+    list as its name."""
+    out = []
+    try:
+        out.extend(counts)
+    except ResourceLimitError as exc:
+        out.append(type(exc).__name__)
+    return out
+
+
+def window_outcomes(system, lo, hi):
+    return outcomes(c for _, c in scan_counts(system, lo, hi))
+
+
+def per_n_outcomes(system, lo, hi):
+    return outcomes(
+        count_system_reps(system, n, tuple_cap=0).count for n in range(lo, hi + 1)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems(any_sets), st.integers(1, 2500), st.integers(0, 400))
+def test_window_counts_match_per_n_counts(system, lo, width):
+    assert window_outcomes(system, lo, lo + width) == per_n_outcomes(
+        system, lo, lo + width
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(multiplicative_sets), st.integers(1, 2500), st.integers(0, 400))
+def test_multiplicative_window_counts_match_per_n_counts(system, lo, width):
+    assert window_outcomes(system, lo, lo + width) == per_n_outcomes(
+        system, lo, lo + width
+    )
+
+
+def test_window_with_a_lone_non_multiplicative_part():
+    # the non-multiplicative parts convolve to {2: 1}, not to {1: 1}
+    system = MultiplicativeSystem((AllNaturals(), Singleton((2,))))
+    assert window_outcomes(system, 1, 50) == [int(n % 2 == 0) for n in range(1, 51)]
+
+
+def test_window_without_multiplicative_parts():
+    # G is then 1 at 1 and 0 elsewhere, so g = F
+    system = MultiplicativeSystem((Primes(), PrimesWithOne(), Singleton((1, 6))))
+    assert system.parts[2].multiplicative is False
+    assert window_outcomes(system, 1, 400) == per_n_outcomes(system, 1, 400)
+
+
+def test_multiplicative_windows_above_the_sieve():
+    lo, hi = 2**40, 2**40 + 300
+    assert lo >= SIEVE_LIMIT
+    system = basis_system(AllNaturals(), 3)
+    got = window_outcomes(system, lo, hi)
+    assert got == per_n_outcomes(system, lo, hi)
+    assert len(got) == 301
+    # fundamental needs the index of every prime factor, so both scans
+    # stop at 2^40 + 1 = 257 * 4278255361, beyond the index sieve
+    system = build("fundamental", 2).system
+    got = window_outcomes(system, lo, hi)
+    assert got == per_n_outcomes(system, lo, hi)
+    assert got == [1, "ResourceLimitError"]
+
+
+def test_non_multiplicative_window_above_the_sieve():
+    construction = build("s-inf", 3, s=2)
+    lo = 2**40 - 50
+    got = window_outcomes(construction.system, lo, lo + 100)
+    assert got == [closed_form(construction, n) for n in range(lo, lo + 101)]
+
+
+def test_window_with_a_huge_prime_under_fundamental_raises_promptly():
+    p = 4294967311  # the least prime above 2^32
+    system = build("fundamental", 2).system
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        window_stats(system, 8 * p - 3, 8 * p + 3)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "system",
+    [build("fundamental", 3).system, build("s-inf", 3, s=2).system],
+    ids=["fundamental", "s-inf"],
+)
+def test_window_scans_hold_no_memory(system):
+    # each window's tables are freed when its scan ends; gc.collect()
+    # also empties the interpreter's free lists, which tracemalloc counts
+    windows = [(2 + 1000 * i, 1001 + 1000 * i) for i in range(50)]
+    primes_up_to(windows[-1][1])  # the sieve holds the last window
+    tracemalloc.start()
+    try:
+        window_stats(system, *windows[0])
+        gc.collect()
+        first, _ = tracemalloc.get_traced_memory()
+        for lo, hi in windows[1:]:
+            window_stats(system, lo, hi)
+        gc.collect()
+        last, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert last - first < 16 * 1024

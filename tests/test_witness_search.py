@@ -1,9 +1,11 @@
+import time
 from itertools import islice
 
 import pytest
 
 from multrep import (
     AllNaturals,
+    ResourceLimitError,
     SearchBudget,
     basis_system,
     build,
@@ -86,6 +88,23 @@ def test_monotone_escalation():
         outcome = find_witness(system, 10**9, budget)
         assert outcome.max_count_seen >= prev
         prev = outcome.max_count_seen
+
+
+def test_squarefree_rich_streams_refuse_a_huge_prime_table():
+    # the stream lists the primes up to max_n, a sieve past the cap
+    system = basis_system(AllNaturals(), 2)
+    for strategy in ("hybrid", "squarefree-rich"):
+        budget = SearchBudget(max_n=10**10, strategy=strategy)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            find_witness(system, 10**9, budget)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_default_budget_answers():
+    outcome = find_witness(basis_system(AllNaturals(), 3), 1000, SearchBudget())
+    assert (outcome.witness.n, outcome.witness.count) == (10080, 1134)
+    assert outcome.candidates_tried == 17686
 
 
 def test_budget_validation():
