@@ -8,8 +8,13 @@ finite scale), or a budget error.  The last two are never conflated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from bisect import bisect_left
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations, count
+from math import comb
+from types import MappingProxyType
 
 from .errors import CapacityOverflowError, SearchBudgetExceeded
 
@@ -18,34 +23,114 @@ DEFAULT_NODE_BUDGET = 5_000_000
 INDEX_CAPACITY = 2**63 - 1
 
 
-@dataclass
+@lru_cache(maxsize=256)
+def _rank_weights(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Weights w such that positions c_0 < ... < c_{k-1} in a sorted ground
+    of size n have rank w[0][c_0] + ... + w[k-1][c_{k-1}], the index of
+    that subset in the order combinations(range(n), k) lists them.
+
+    The rank is C(n,k) - 1 - sum_j C(n-1-c_j, k-j) (the combinatorial
+    number system, taken in lex order); the constant sits in w[0].
+    """
+    top = comb(n, k) - 1
+    return tuple(
+        tuple((top if j == 0 else 0) - comb(n - 1 - c, k - j) for c in range(n))
+        for j in range(k)
+    )
+
+
+def _rank(weights, positions) -> int:
+    return sum(w[c] for w, c in zip(weights, positions))
+
+
+def _require_total(k: int, missing: int, extraneous: int) -> None:
+    if missing or extraneous:
+        raise ValueError(
+            f"coloring is not total on the {k}-subsets "
+            f"(missing {missing}, extraneous {extraneous})"
+        )
+
+
+@dataclass(init=False)
 class Coloring:
-    """Total coloring of the k-subsets of a finite ordered ground set."""
+    """Total coloring of the k-subsets of a finite ordered ground set.
+
+    table[r] is the color of the r-th k-subset of the sorted ground in the
+    order that combinations(ground, k) lists them; rank() gives r.
+    """
 
     ground: tuple[int, ...]
     k: int
-    colors: dict[frozenset, int]
-    max_color: int = field(init=False)
+    table: list[int]
+    max_color: int
 
-    def __post_init__(self):
+    def __init__(self, ground, k: int, colors: Mapping[frozenset, int]):
+        self.ground = ground
+        self.k = k
+        self.__post_init__(colors)
+
+    def __post_init__(self, colors: Mapping[frozenset, int]):
         self.ground = tuple(sorted(set(self.ground)))
         if self.k < 0:
             raise ValueError("k must be >= 0")
-        expected = {frozenset(c) for c in combinations(self.ground, self.k)}
-        given = set(self.colors)
-        if given != expected:
-            missing = expected - given
-            extra = given - expected
-            raise ValueError(
-                f"coloring is not total on the {self.k}-subsets "
-                f"(missing {len(missing)}, extraneous {len(extra)})"
-            )
-        if any(c < 0 for c in self.colors.values()):
+        subsets = combinations(self.ground, self.k)
+        try:
+            table = [colors[frozenset(c)] for c in subsets]
+        except KeyError:
+            table = None
+        if table is None or len(colors) != len(table):
+            subsets = combinations(self.ground, self.k)
+            missing = sum(frozenset(c) not in colors for c in subsets)
+            present = comb(len(self.ground), self.k) - missing
+            _require_total(self.k, missing, len(colors) - present)
+        self._adopt(table)
+
+    @classmethod
+    def _from_table(cls, ground: tuple[int, ...], k: int, table: list) -> Coloring:
+        """A coloring of a ground already sorted and distinct, whose table
+        already lists a color for every k-subset in rank order."""
+        self = cls.__new__(cls)
+        self.ground = ground
+        self.k = k
+        self._adopt(table)
+        return self
+
+    def _adopt(self, table: list[int]) -> None:
+        if table and min(table) < 0:
             raise ValueError("color indices must be >= 0")
-        self.max_color = max(self.colors.values(), default=0)
+        self.table = table
+        self.max_color = max(table, default=0)
+
+    @property
+    def colors(self) -> Mapping[frozenset, int]:
+        """Read-only {frozenset k-subset: color} view built from the table."""
+        subsets = combinations(self.ground, self.k)
+        return MappingProxyType(
+            {frozenset(c): col for c, col in zip(subsets, self.table)}
+        )
+
+    def positions(self, subset) -> list[int]:
+        """Sorted indices in ground of the distinct elements of subset;
+        KeyError for an element outside the ground."""
+        ground = self.ground
+        out = []
+        for x in set(subset):
+            i = bisect_left(ground, x)
+            if i == len(ground) or ground[i] != x:
+                raise KeyError(x)
+            out.append(i)
+        out.sort()
+        return out
+
+    def rank(self, subset) -> int:
+        """Index in table of a k-subset of the ground, given in any order."""
+        positions = self.positions(subset)
+        if len(positions) != self.k:
+            raise KeyError(frozenset(subset))
+        return _rank(_rank_weights(len(self.ground), self.k), positions)
 
     def color_of(self, subset) -> int:
-        return self.colors[frozenset(subset)]
+        return self.table[self.rank(subset)]
 
 
 @dataclass(frozen=True)
@@ -58,30 +143,23 @@ class HomogeneousChain:
 
 def constant_coloring(ground, k: int, color: int = 0) -> Coloring:
     ground = tuple(sorted(set(ground)))
-    return Coloring(
-        ground, k, {frozenset(c): color for c in combinations(ground, k)}
-    )
+    return Coloring._from_table(ground, k, [color] * comb(len(ground), k))
 
 
 def random_coloring(ground, k: int, num_colors: int, rng) -> Coloring:
     ground = tuple(sorted(set(ground)))
-    return Coloring(
-        ground,
-        k,
-        {
-            frozenset(c): rng.randrange(num_colors)
-            for c in combinations(ground, k)
-        },
-    )
+    table = [rng.randrange(num_colors) for _ in range(comb(len(ground), k))]
+    return Coloring._from_table(ground, k, table)
 
 
 def homogeneous_color(coloring: Coloring, subset) -> int | None:
     """Independent checker: the single color of all k-subsets of subset,
     or None if two of them differ.  Enumerates every k-subset."""
-    subset = tuple(sorted(subset))
+    weights = _rank_weights(len(coloring.ground), coloring.k)
+    table = coloring.table
     seen = None
-    for c in combinations(subset, coloring.k):
-        col = coloring.color_of(c)
+    for c in combinations(coloring.positions(subset), coloring.k):
+        col = table[_rank(weights, c)]
         if seen is None:
             seen = col
         elif col != seen:
@@ -100,48 +178,64 @@ def find_homogeneous(
     Returns None when no such subset exists in this finite ground set;
     raises SearchBudgetExceeded if the node budget runs out first.
     """
-    ground = tuple(sorted(within)) if within is not None else coloring.ground
-    if not set(ground) <= set(coloring.ground):
-        raise ValueError("search space must lie inside the coloring's ground")
+    ground = coloring.ground
+    if within is None:
+        positions = range(len(ground))
+    else:
+        try:
+            positions = coloring.positions(within)
+        except KeyError:
+            raise ValueError(
+                "search space must lie inside the coloring's ground"
+            ) from None
     k = coloring.k
-    if m > len(ground) or k > m:
+    if m > len(positions) or k > m:
         return None
     if k == 0:
-        return ground[:m]
+        return tuple(ground[p] for p in positions[:m])
 
+    weights = _rank_weights(len(ground), k)
+    last = weights[k - 1]
+    table = coloring.table
     nodes = 0
 
-    def extend(candidate: list[int], start: int, color):
+    # sums[j] holds, for each j-subset of the chosen positions, the sum of
+    # its weights; a k-subset that ends at a new position p has rank
+    # s + last[p] for s in sums[k - 1].
+    def extend(chosen: list[int], start: int, sums, color):
         nonlocal nodes
-        if len(candidate) == m:
-            return tuple(candidate)
-        # not enough elements left to reach size m
-        for idx in range(start, len(ground) - (m - len(candidate)) + 1):
+        if len(chosen) == m:
+            return tuple(ground[p] for p in chosen)
+        ends = sums[k - 1]
+        # not enough positions left to reach size m
+        for idx in range(start, len(positions) - (m - len(chosen)) + 1):
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(
                     f"node budget {budget} exhausted before resolution"
                 )
-            x = ground[idx]
-            candidate.append(x)
+            p = positions[idx]
+            offset = last[p]
             new_color = color
-            ok = True
-            if len(candidate) >= k:
-                for rest in combinations(candidate[:-1], k - 1):
-                    col = coloring.color_of(rest + (x,))
-                    if new_color is None:
-                        new_color = col
-                    elif col != new_color:
-                        ok = False
-                        break
-            if ok:
-                found = extend(candidate, idx + 1, new_color)
+            for s in ends:
+                col = table[s + offset]
+                if new_color is None:
+                    new_color = col
+                elif col != new_color:
+                    break
+            else:
+                chosen.append(p)
+                grown = [sums[0]] + [
+                    sums[j] + [s + weights[j - 1][p] for s in sums[j - 1]]
+                    for j in range(1, k)
+                ]
+                found = extend(chosen, idx + 1, grown, new_color)
                 if found is not None:
                     return found
-            candidate.pop()
+                chosen.pop()
         return None
 
-    return extend([], 0, None)
+    return extend([], 0, [[0]] + [[] for _ in range(k - 1)], None)
 
 
 def iterated_chain(
@@ -197,9 +291,10 @@ def verify_chain(colorings, chain: HomogeneousChain) -> bool:
             return False
     for k, coloring in enumerate(colorings):
         eps = chain.epsilons[k]
+        weights = _rank_weights(len(coloring.ground), k)
         for n in range(k, len(subsets)):
-            for c in combinations(sorted(subsets[n]), k):
-                if coloring.color_of(c) != eps:
+            for c in combinations(coloring.positions(subsets[n]), k):
+                if coloring.table[_rank(weights, c)] != eps:
                     return False
     return True
 
@@ -220,13 +315,10 @@ def product_coloring(colorings) -> Coloring:
         capacity *= r
         if capacity > INDEX_CAPACITY:
             raise CapacityOverflowError("product color index exceeds capacity")
-    combined = {}
-    for subset in first.colors:
-        idx = 0
-        for c, r in zip(colorings, radices):
-            idx = idx * r + c.colors[subset]
-        combined[subset] = idx
-    out = Coloring(first.ground, first.k, combined)
+    combined = list(first.table)
+    for c, r in zip(colorings[1:], radices[1:]):
+        combined = [idx * r + col for idx, col in zip(combined, c.table)]
+    out = Coloring._from_table(first.ground, first.k, combined)
     # a factor may never use its top index on this ground; keep the full radix
     out.max_color = capacity - 1
     return out
@@ -268,40 +360,70 @@ def doubly_iterated_chain(
 # ---------------------------------------------------------------------------
 
 def dump_coloring(coloring: Coloring) -> str:
-    lines = [
-        "ground: " + " ".join(str(x) for x in coloring.ground),
-        f"k: {coloring.k}",
-    ]
-    for c in combinations(coloring.ground, coloring.k):
-        lines.append(
-            " ".join(str(x) for x in c) + " : " + str(coloring.colors[frozenset(c)])
-        )
+    names = [str(x) for x in coloring.ground]
+    lines = ["ground: " + " ".join(names), f"k: {coloring.k}"]
+    subsets = map(" ".join, combinations(names, coloring.k))
+    lines += [f"{s} : {col}" for s, col in zip(subsets, coloring.table)]
     return "\n".join(lines) + "\n"
 
 
 def load_coloring(text: str) -> Coloring:
     """Parse the text format: a ground line, a k line, then one
-    "elements : color" line per k-subset.  Totality is validated."""
+    "elements : color" line per k-subset, in any order.  Totality is
+    validated.
+
+    Each row's elements are looked up as written among the subsets as
+    dump_coloring writes them; a row written otherwise (other spacing,
+    elements out of order or repeated) is read through int() and looked
+    up again.
+    """
     ground = None
     k = None
-    colors: dict[frozenset, int] = {}
+    rows = []
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if line.startswith("ground:"):
-            ground = tuple(int(x) for x in line[len("ground:"):].split())
+            ground = tuple(sorted({int(x) for x in line[len("ground:"):].split()}))
             continue
         if line.startswith("k:"):
             k = int(line[len("k:"):].strip())
             continue
-        if ":" not in line:
+        left, colon, right = line.rpartition(":")
+        if not colon:
             raise ValueError(f"bad coloring line: {raw!r}")
-        left, right = line.rsplit(":", 1)
-        subset = frozenset(int(x) for x in left.split())
-        if subset in colors:
-            raise ValueError(f"duplicate subset in coloring: {sorted(subset)}")
-        colors[subset] = int(right.strip())
+        rows.append((left.strip(), right.strip()))
+    # rows are read once both headers are known, wherever they sit
+    index = {}
+    if ground is not None and k is not None and k >= 0:
+        names = [str(x) for x in ground]
+        index = dict(zip(map(" ".join, combinations(names, k)), count()))
+    table = [None] * len(index)
+    extraneous = set()
+    for key, right in rows:
+        r = index.get(key)
+        if r is None:
+            key = " ".join(str(x) for x in sorted({int(x) for x in key.split()}))
+            r = index.get(key)
+        if r is None:
+            if key in extraneous:
+                raise _duplicate(key)
+            extraneous.add(key)
+            int(right)  # a malformed color is reported before totality
+        elif table[r] is not None:
+            raise _duplicate(key)
+        else:
+            table[r] = int(right)
     if ground is None or k is None:
         raise ValueError("coloring file needs 'ground:' and 'k:' lines")
-    return Coloring(ground, k, colors)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    _require_total(k, table.count(None), len(extraneous))
+    return Coloring._from_table(ground, k, table)
+
+
+def _duplicate(key: str) -> ValueError:
+    return ValueError(
+        f"duplicate subset in coloring: {[int(x) for x in key.split()]}"
+    )

@@ -66,6 +66,16 @@ def sieve_squarefree(limit):
     return [n for n in range(1, limit + 1) if flags[n]]
 
 
+def oracle_homogeneous(colors, ground, k, m):
+    """Lexicographically least m-subset of the sorted ground whose k-subsets
+    all take one color under colors ({frozenset: color}), found by trying
+    every m-subset in order; None when there is none."""
+    for candidate in combinations(sorted(ground), m):
+        if len({colors[frozenset(c)] for c in combinations(candidate, k)}) == 1:
+            return candidate
+    return None
+
+
 def pentagon_coloring():
     """C5 edges color 0, diagonals color 1; the classic triangle-free
     2-coloring of a 5-point ground set."""

@@ -118,6 +118,22 @@ def test_ramsey_command_finds_subset(capsys, tmp_path):
     assert json.loads(out) == {"subset": [1, 2], "color": 0}
 
 
+@pytest.mark.parametrize(
+    "rows, err",
+    [
+        ("1 2 : 0\n2 1 : 1\n", "error: duplicate subset in coloring: [1, 2]\n"),
+        (
+            "1 2 : 0\n1 3 : 1\n",
+            "error: coloring is not total on the 2-subsets (missing 1, extraneous 0)\n",
+        ),
+    ],
+)
+def test_ramsey_command_rejects_invalid_file(capsys, tmp_path, rows, err):
+    path = tmp_path / "bad.txt"
+    path.write_text("ground: 1 2 3\nk: 2\n" + rows)
+    assert run(capsys, "ramsey", "--coloring", str(path), "--m", "2") == (2, "", err)
+
+
 def test_witness_command(capsys):
     code, out, _ = run(
         capsys, "witness", "--system", "fundamental:h=2", "--target", "2",

@@ -1,7 +1,11 @@
 import random
 from itertools import combinations, product
+from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multrep import (
     CapacityOverflowError,
@@ -20,6 +24,10 @@ from multrep import (
     verify_chain,
 )
 from multrep.ramsey import Coloring as _Coloring
+
+from conftest import oracle_homogeneous, pentagon_coloring
+
+DATA = Path(__file__).parent / "data"
 
 
 def parity_coloring(n=10):
@@ -244,3 +252,157 @@ def test_coloring_file_totality_checked():
     text = "ground: 1 2 3\nk: 2\n1 2 : 0\n"
     with pytest.raises(ValueError):
         load_coloring(text)
+
+
+def test_rank_follows_combinations_order():
+    for n in range(7):
+        ground = tuple(3 * x - 5 for x in range(n))
+        for k in range(n + 2):
+            coloring = constant_coloring(ground, k)
+            ranks = [coloring.rank(s[::-1]) for s in combinations(ground, k)]
+            assert ranks == list(range(comb(n, k))) and len(coloring.table) == comb(n, k)
+    coloring = constant_coloring((1, 2, 3), 2)
+    for bad in ((1,), (1, 2, 3), (1, 4)):
+        with pytest.raises(KeyError):
+            coloring.rank(bad)
+
+
+def test_colors_view_is_read_only():
+    coloring = constant_coloring((1, 2), 1)
+    assert coloring.colors == {frozenset({1}): 0, frozenset({2}): 0}
+    with pytest.raises(TypeError):
+        coloring.colors[frozenset({1})] = 1
+
+
+def test_within_repeats_count_once():
+    for k in (1, 2):
+        coloring = constant_coloring(range(1, 5), k)
+        assert find_homogeneous(coloring, 2, within=[1, 1]) is None
+        assert find_homogeneous(coloring, 2, within=[3, 1, 1]) == (1, 3)
+
+
+def test_within_outside_ground_rejected():
+    with pytest.raises(ValueError):
+        find_homogeneous(constant_coloring(range(1, 5), 1), 1, within=[0, 1])
+
+
+@st.composite
+def colorings(draw, max_size=7):
+    """(ground, k, {frozenset: color}) on distinct ints with gaps and signs."""
+    ground = draw(st.sets(st.integers(-40, 40), max_size=max_size))
+    k = draw(st.integers(0, 3))
+    subsets = [frozenset(c) for c in combinations(sorted(ground), k)]
+    values = draw(
+        st.lists(st.integers(0, 2), min_size=len(subsets), max_size=len(subsets))
+    )
+    return ground, k, dict(zip(subsets, values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(colorings(), st.integers(0, 8), st.data())
+def test_find_homogeneous_matches_oracle(spec, m, data):
+    ground, k, colors = spec
+    within = None
+    if ground and data.draw(st.booleans()):
+        within = data.draw(st.lists(st.sampled_from(sorted(ground)), max_size=9))
+    search = ground if within is None else set(within)
+    found = find_homogeneous(Coloring(ground, k, colors), m, within=within)
+    assert found == oracle_homogeneous(colors, search, k, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_product_color_is_row_major_index(data):
+    ground = data.draw(st.sets(st.integers(-40, 40), max_size=6))
+    k = data.draw(st.integers(0, 3))
+    subsets = [frozenset(c) for c in combinations(sorted(ground), k)]
+    factor = st.lists(st.integers(0, 4), min_size=len(subsets), max_size=len(subsets))
+    factors = data.draw(st.lists(factor, min_size=1, max_size=3))
+    maps = [dict(zip(subsets, f)) for f in factors]
+    radices = [max(c.values(), default=0) + 1 for c in maps]
+    expected = {}
+    for s in subsets:
+        idx = 0
+        for c, r in zip(maps, radices):
+            idx = idx * r + c[s]
+        expected[s] = idx
+    assert product_coloring([Coloring(ground, k, c) for c in maps]).colors == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(colorings())
+def test_dump_load_roundtrip_keeps_colors(spec):
+    coloring = Coloring(*spec)
+    assert coloring.colors == spec[2]
+    assert load_coloring(dump_coloring(coloring)).colors == coloring.colors
+
+
+def _colors(rows):
+    return {frozenset(s): c for s, c in rows}
+
+
+TRIANGLE = _colors((((1, 2), 0), ((1, 3), 1), ((2, 3), 0)))
+
+
+@pytest.mark.parametrize(
+    "text, ground, colors",
+    [
+        ("ground: 1 2 3\nk: 2\n2 3 : 0\n1 2 : 0\n1 3 : 1\n", (1, 2, 3), TRIANGLE),
+        ("ground: 1 2 3\nk: 2\n2 1 : 0\n1  3 : 1\n\t3   2:0 \n", (1, 2, 3), TRIANGLE),
+        ("ground: 1 2\nk: 1\n1 1 : 0\n2 : 1\n", (1, 2), _colors((((1,), 0), ((2,), 1)))),
+        (
+            "# a triangle\nground: 1 2 3  # ground\n\nk: 2\n1 2 : 0  # edge\n"
+            "\n   \n1 3 : 1\n2 3 : 0\n",
+            (1, 2, 3),
+            TRIANGLE,
+        ),
+        ("1 2 : 0\n1 3 : 1\n2 3 : 0\nk: 2\nground: 1 2 3\n", (1, 2, 3), TRIANGLE),
+        ("ground: 3 1 2 3 1\nk: 2\n1 2 : 0\n1 3 : 1\n2 3 : 0\n", (1, 2, 3), TRIANGLE),
+    ],
+    ids=["rows-out-of-order", "spacing-and-order", "repeated-element",
+         "comments-and-blanks", "headers-last", "repeated-ground"],
+)
+def test_load_accepts_rows_as_written(text, ground, colors):
+    loaded = load_coloring(text)
+    assert loaded.ground == ground
+    assert loaded.colors == colors
+
+
+HEADER = "ground: 1 2 3\nk: 2\n"
+FULL = "1 2 : 0\n1 3 : 1\n2 3 : 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (HEADER + FULL + "3 2 : 1\n", r"duplicate subset in coloring: \[2, 3\]"),
+        (HEADER + "1 2 : 0\n1 3 : 1\n", r"\(missing 1, extraneous 0\)"),
+        (HEADER + FULL + "1 4 : 0\n", r"\(missing 0, extraneous 1\)"),
+        (HEADER + "1 2 : 0\n1 3 : 1\n1 2 3 : 0\n", r"\(missing 1, extraneous 1\)"),
+        (HEADER + "1 2 : 0\n1 3 : -1\n2 3 : 0\n", "color indices must be >= 0"),
+        (HEADER + "1 2 : 0\n1 3 1\n2 3 : 0\n", "bad coloring line: '1 3 1'"),
+        ("ground: 1 2 3\n" + FULL, "needs 'ground:' and 'k:' lines"),
+        ("ground: 1 2 3\nk: -1\n", "k must be >= 0"),
+    ],
+    ids=["duplicate-reordered", "missing-row", "outside-ground", "wrong-size",
+         "negative-color", "no-colon", "no-k-header", "negative-k"],
+)
+def test_load_rejects_invalid_file(text, message):
+    with pytest.raises(ValueError, match=message):
+        load_coloring(text)
+
+
+def test_pentagon_file_is_byte_stable():
+    text = (DATA / "pentagon.txt").read_text()
+    assert dump_coloring(pentagon_coloring()) == text
+    assert dump_coloring(load_coloring(text)) == text
+
+
+def test_dump_load_dump_is_byte_stable():
+    k0 = dump_coloring(constant_coloring((9, 4), 0, color=5))
+    assert k0 == "ground: 4 9\nk: 0\n : 5\n"
+    k3 = dump_coloring(random_coloring((40, -7, 0, 3, 11, -2), 3, 3, random.Random(1)))
+    assert k3.startswith("ground: -7 -2 0 3 11 40\nk: 3\n-7 -2 0 : ")
+    assert len(k3.splitlines()) == 2 + comb(6, 3)
+    for text in (k0, k3):
+        assert dump_coloring(load_coloring(text)) == text
