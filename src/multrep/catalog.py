@@ -184,15 +184,10 @@ def verify(
     prime_values = None
     prime_values_ok = None
     if construction.name == "s-inf":
-        prime_values = []
-        count_primes = 0
-        p = 2
-        while count_primes < 100:
-            prime_values.append(
-                (p, count_system_reps(system, p, tuple_cap=0).count)
-            )
-            count_primes += 1
-            p = nth_prime(count_primes + 1)
+        prime_values = [
+            (p, count_system_reps(system, p, tuple_cap=0).count)
+            for p in map(nth_prime, range(1, 101))
+        ]
         prime_values_ok = all(c == construction.s for _, c in prime_values)
 
     evidence = []

@@ -22,9 +22,6 @@ from .errors import (
 )
 from .integer_sets import MultiplicativeSystem, parse_set, parse_system
 
-SHORTHAND = {"fundamental", "one-t", "one-inf", "s-inf"}
-
-
 class ConfigError(ValueError):
     pass
 
@@ -45,7 +42,7 @@ def parse_system_spec(spec: str) -> MultiplicativeSystem:
         if spec.startswith("parts:"):
             return parse_system(spec[len("parts:"):])
         name, _, args = spec.partition(":")
-        if name in SHORTHAND:
+        if name in catalog.NAMES:
             kv = {}
             if args:
                 for item in args.split(","):
@@ -145,7 +142,7 @@ def cmd_witness(args) -> int:
         strategy=args.strategy,
     )
     outcome = witness_search.find_witness(system, args.target, budget)
-    _emit_record(outcome.to_record(), "json" if args.format == "json" else "text")
+    _emit_record(outcome.to_record(), args.format)
     return 0
 
 
@@ -160,8 +157,7 @@ def cmd_ramsey(args) -> int:
     if color is None:
         print("checker rejected the emitted subset", file=sys.stderr)
         return 1
-    record = {"subset": list(found), "color": color}
-    _emit_record(record, "json" if args.format == "json" else "text")
+    _emit_record({"subset": list(found), "color": color}, args.format)
     return 0
 
 
@@ -207,12 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, formats=("text", "json", "csv"), **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument(
-            "--format", choices=("text", "json", "csv"), default="text"
-        )
+        p.add_argument("--format", choices=formats, default="text")
         return p
 
     p = add("count", cmd_count, help="count representations of one integer")
@@ -236,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--t-cutoff", type=int, default=3)
 
-    p = add("witness", cmd_witness, help="search for a high-count integer")
+    p = add("witness", cmd_witness, ("text", "json"), help="search for a high-count integer")
     p.add_argument("--system", required=True)
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--max-n", type=int, default=1_000_000)
@@ -245,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy", choices=witness_search.STRATEGIES, default="hybrid"
     )
 
-    p = add("ramsey", cmd_ramsey, help="monochromatic subset search")
+    p = add("ramsey", cmd_ramsey, ("text", "json"), help="monochromatic subset search")
     p.add_argument("--coloring", required=True, help="coloring file path")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--budget", type=int, default=ramsey.DEFAULT_NODE_BUDGET)
@@ -255,7 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--cap", type=int, default=squarefree_map.DEFAULT_PARTITION_CAP)
 
-    p = add("correspond", cmd_correspond, help="check the count/cover correspondence at q")
+    p = add(
+        "correspond", cmd_correspond, ("text", "json"),
+        help="check the count/cover correspondence at q",
+    )
     p.add_argument("--system", required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--universe", help="comma-separated prime universe")

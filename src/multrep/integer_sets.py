@@ -52,10 +52,12 @@ _prime_index: dict[int, int] = {}
 
 
 def _ensure_sieve(limit: int) -> None:
+    """Grow the sieve to cover [0, limit], at least doubling it; doubling
+    alone never takes it to PRIME_INDEX_LIMIT."""
     global _spf, _primes, _prime_index
     if limit < len(_spf):
         return
-    limit = max(limit, min(2 * len(_spf), PRIME_INDEX_LIMIT), 1 << 16)
+    limit = max(limit, min(2 * len(_spf), PRIME_INDEX_LIMIT - 1), 1 << 16)
     root = math.isqrt(limit)
     prime = bytearray([1]) * (limit + 1)
     prime[:2] = b"\0\0"
@@ -142,16 +144,14 @@ def nth_prime(k: int) -> int:
     not below PRIME_INDEX_LIMIT rather than outgrow memory."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    limit = 1 << 16
     while len(_primes) < k:
         # the k-th prime exceeds k ln k (Rosser 1939), so such k are
         # refused before the sieve grows
-        if limit > PRIME_INDEX_LIMIT or k * math.log(k) >= PRIME_INDEX_LIMIT:
+        if len(_spf) >= PRIME_INDEX_LIMIT or k * math.log(k) >= PRIME_INDEX_LIMIT:
             raise ResourceLimitError(
                 f"the prime of index {k} needs a sieve beyond {PRIME_INDEX_LIMIT}"
             )
-        _ensure_sieve(min(limit, PRIME_INDEX_LIMIT - 1))
-        limit *= 2
+        _ensure_sieve(len(_spf))
     return _primes[k - 1]
 
 
@@ -232,10 +232,6 @@ def factorize(n: int) -> dict[int, int]:
             d = _pollard_brent(m)
             cofactors += (d, m // d)
     return dict(sorted(factors.items()))
-
-
-def is_squarefree(n: int) -> bool:
-    return all(e == 1 for e in factorize(n).values())
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +447,7 @@ class Squarefree(SetDescription):
     multiplicative = True
 
     def contains(self, n: int) -> bool:
-        return n >= 1 and is_squarefree(n)
+        return n >= 1 and self.contains_factored(n, factorize(n))
 
     def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
         return all(e == 1 for e in factors.values())
@@ -598,18 +594,6 @@ def basis_system(b: SetDescription, h: int) -> MultiplicativeSystem:
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|[(),])")
-
-_SET_KINDS = (
-    "AllNaturals",
-    "Singleton",
-    "PowersOf",
-    "Primes",
-    "PrimesWithOne",
-    "Squarefree",
-    "SmoothOver",
-    "Union",
-    "Intersection",
-)
 
 
 class _Parser:

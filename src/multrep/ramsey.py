@@ -12,15 +12,35 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, count
+from itertools import combinations
 from math import comb
 from types import MappingProxyType
 
-from .errors import CapacityOverflowError, SearchBudgetExceeded
+from .errors import CapacityOverflowError, ResourceLimitError, SearchBudgetExceeded
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
 INDEX_CAPACITY = 2**63 - 1
+
+# the most k-subsets a coloring may color; its table, and the subset text
+# that load_coloring indexes, grow with this
+TABLE_CAP = 1 << 20
+
+
+def _shape(ground, k: int) -> tuple[tuple[int, ...], int]:
+    """The sorted distinct ground of a coloring of k-subsets and its table
+    size C(n, k).  Raises ValueError for k < 0 and ResourceLimitError for
+    a table above TABLE_CAP, before any table is allocated."""
+    ground = tuple(sorted(set(ground)))
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    size = comb(len(ground), k)
+    if size > TABLE_CAP:
+        raise ResourceLimitError(
+            f"a coloring of the {k}-subsets of {len(ground)} elements needs "
+            f"{size} colors, above the cap {TABLE_CAP}"
+        )
+    return ground, size
 
 
 @lru_cache(maxsize=256)
@@ -70,36 +90,30 @@ class Coloring:
         self.__post_init__(colors)
 
     def __post_init__(self, colors: Mapping[frozenset, int]):
-        self.ground = tuple(sorted(set(self.ground)))
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
-        subsets = combinations(self.ground, self.k)
+        ground, size = _shape(self.ground, self.k)
+        subsets = combinations(ground, self.k)
         try:
             table = [colors[frozenset(c)] for c in subsets]
         except KeyError:
             table = None
-        if table is None or len(colors) != len(table):
-            subsets = combinations(self.ground, self.k)
+        if table is None or len(colors) != size:
+            subsets = combinations(ground, self.k)
             missing = sum(frozenset(c) not in colors for c in subsets)
-            present = comb(len(self.ground), self.k) - missing
-            _require_total(self.k, missing, len(colors) - present)
-        self._adopt(table)
+            _require_total(self.k, missing, len(colors) - (size - missing))
+        vars(self).update(vars(self._from_table(ground, self.k, table)))
 
     @classmethod
     def _from_table(cls, ground: tuple[int, ...], k: int, table: list) -> Coloring:
-        """A coloring of a ground already sorted and distinct, whose table
-        already lists a color for every k-subset in rank order."""
+        """A coloring of a ground shaped by _shape, whose table lists a
+        color for every k-subset in rank order."""
+        if table and min(table) < 0:
+            raise ValueError("color indices must be >= 0")
         self = cls.__new__(cls)
         self.ground = ground
         self.k = k
-        self._adopt(table)
-        return self
-
-    def _adopt(self, table: list[int]) -> None:
-        if table and min(table) < 0:
-            raise ValueError("color indices must be >= 0")
         self.table = table
         self.max_color = max(table, default=0)
+        return self
 
     @property
     def colors(self) -> Mapping[frozenset, int]:
@@ -142,13 +156,13 @@ class HomogeneousChain:
 
 
 def constant_coloring(ground, k: int, color: int = 0) -> Coloring:
-    ground = tuple(sorted(set(ground)))
-    return Coloring._from_table(ground, k, [color] * comb(len(ground), k))
+    ground, size = _shape(ground, k)
+    return Coloring._from_table(ground, k, [color] * size)
 
 
 def random_coloring(ground, k: int, num_colors: int, rng) -> Coloring:
-    ground = tuple(sorted(set(ground)))
-    table = [rng.randrange(num_colors) for _ in range(comb(len(ground), k))]
+    ground, size = _shape(ground, k)
+    table = [rng.randrange(num_colors) for _ in range(size)]
     return Coloring._from_table(ground, k, table)
 
 
@@ -291,11 +305,13 @@ def verify_chain(colorings, chain: HomogeneousChain) -> bool:
             return False
     for k, coloring in enumerate(colorings):
         eps = chain.epsilons[k]
-        weights = _rank_weights(len(coloring.ground), k)
-        for n in range(k, len(subsets)):
-            for c in combinations(coloring.positions(subsets[n]), k):
-                if coloring.table[_rank(weights, c)] != eps:
-                    return False
+        for subset in subsets[k:]:
+            # a subset of fewer than k elements has no k-subset to check
+            if len(set(subset)) < k:
+                continue
+            color = homogeneous_color(coloring, subset)
+            if color is None or color != eps:
+                return False
     return True
 
 
@@ -375,7 +391,8 @@ def load_coloring(text: str) -> Coloring:
     Each row's elements are looked up as written among the subsets as
     dump_coloring writes them; a row written otherwise (other spacing,
     elements out of order or repeated) is read through int() and looked
-    up again.
+    up again.  The headers are checked before any row: a table above
+    TABLE_CAP raises ResourceLimitError before the subsets are listed.
     """
     ground = None
     k = None
@@ -385,7 +402,7 @@ def load_coloring(text: str) -> Coloring:
         if not line:
             continue
         if line.startswith("ground:"):
-            ground = tuple(sorted({int(x) for x in line[len("ground:"):].split()}))
+            ground = [int(x) for x in line[len("ground:"):].split()]
             continue
         if line.startswith("k:"):
             k = int(line[len("k:"):].strip())
@@ -395,11 +412,12 @@ def load_coloring(text: str) -> Coloring:
             raise ValueError(f"bad coloring line: {raw!r}")
         rows.append((left.strip(), right.strip()))
     # rows are read once both headers are known, wherever they sit
-    index = {}
-    if ground is not None and k is not None and k >= 0:
-        names = [str(x) for x in ground]
-        index = dict(zip(map(" ".join, combinations(names, k)), count()))
-    table = [None] * len(index)
+    if ground is None or k is None:
+        raise ValueError("coloring file needs 'ground:' and 'k:' lines")
+    ground, size = _shape(ground, k)
+    names = [str(x) for x in ground]
+    index = dict(zip(map(" ".join, combinations(names, k)), range(size)))
+    table = [None] * size
     extraneous = set()
     for key, right in rows:
         r = index.get(key)
@@ -415,10 +433,6 @@ def load_coloring(text: str) -> Coloring:
             raise _duplicate(key)
         else:
             table[r] = int(right)
-    if ground is None or k is None:
-        raise ValueError("coloring file needs 'ground:' and 'k:' lines")
-    if k < 0:
-        raise ValueError("k must be >= 0")
     _require_total(k, table.count(None), len(extraneous))
     return Coloring._from_table(ground, k, table)
 

@@ -28,9 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
 
-from .errors import FactorizationLimitError
 from .integer_sets import (
-    MAX_INT,
     SIEVE_LIMIT,
     MultiplicativeSystem,
     SetDescription,
@@ -241,11 +239,8 @@ def count_system_reps(
 ) -> RepWitness:
     """Exact number of ordered tuples (b_1,...,b_h) with b_i in parts[i]
     and product n, plus the first tuple_cap of them in lexicographic
-    order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > MAX_INT:
-        raise FactorizationLimitError(f"{n} exceeds 64-bit range")
+    order.  factorize decides the range of n: ValueError for n < 1,
+    FactorizationLimitError above 64-bit range."""
     factors = factorize(n)
     engine = _PrimeChains if system.multiplicative else _Lattice
     table = engine(system.parts, factors)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -132,6 +133,32 @@ def test_ramsey_command_rejects_invalid_file(capsys, tmp_path, rows, err):
     path = tmp_path / "bad.txt"
     path.write_text("ground: 1 2 3\nk: 2\n" + rows)
     assert run(capsys, "ramsey", "--coloring", str(path), "--m", "2") == (2, "", err)
+
+
+def test_ramsey_command_refuses_an_oversize_table(capsys, tmp_path):
+    path = tmp_path / "oversize.txt"
+    path.write_text("ground: " + " ".join(map(str, range(1, 101))) + "\nk: 10\n")
+    assert path.stat().st_size == 306
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ramsey", "--coloring", str(path), "--m", "11")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a coloring of the 10-subsets of 100 elements")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("witness", "--system", "fundamental:h=2", "--target", "2", "--max-n", "50"),
+        ("ramsey", "--coloring", "tests/data/pentagon.txt", "--m", "3"),
+        ("correspond", "--system", "s-inf:h=2,s=2", "--q", "30"),
+    ],
+    ids=["witness", "ramsey", "correspond"],
+)
+def test_csv_is_refused_by_commands_that_write_records(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'csv'" in err
 
 
 def test_witness_command(capsys):

@@ -164,6 +164,25 @@ def test_prime_tables_refuse_a_sieve_beyond_the_cap():
     ]
 
 
+@pytest.mark.parametrize("grown_by_prime_index", [False, True])
+def test_nth_prime_reaches_the_last_prime_below_the_cap(
+    monkeypatch, grown_by_prime_index
+):
+    # a fresh sieve, restored afterwards so that no other test holds 2^22
+    monkeypatch.setattr(integer_sets, "_spf", [])
+    monkeypatch.setattr(integer_sets, "_primes", [])
+    monkeypatch.setattr(integer_sets, "_prime_index", {})
+    if grown_by_prime_index:
+        p = sympy.prevprime(3 * 10**6)
+        assert prime_index(p) == sympy.primepi(p)
+    last = sympy.prevprime(PRIME_INDEX_LIMIT)
+    assert nth_prime(295947) == last == 4194301
+    assert sympy.primepi(last) == 295947
+    with pytest.raises(ResourceLimitError, match="index 295948 needs a sieve"):
+        nth_prime(295948)
+    assert len(integer_sets._spf) <= PRIME_INDEX_LIMIT
+
+
 # sympy is the oracle here only; the library imports nothing outside the
 # standard library
 @settings(max_examples=300, deadline=None)

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, product
 from math import comb
 from pathlib import Path
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from multrep import (
     CapacityOverflowError,
     Coloring,
+    HomogeneousChain,
+    ResourceLimitError,
     SearchBudgetExceeded,
     constant_coloring,
     decode_product_index,
@@ -23,6 +26,8 @@ from multrep import (
     random_coloring,
     verify_chain,
 )
+from multrep import ramsey
+from multrep.ramsey import TABLE_CAP
 from multrep.ramsey import Coloring as _Coloring
 
 from conftest import oracle_homogeneous, pentagon_coloring
@@ -126,6 +131,40 @@ def test_chain_restriction_is_nested():
         assert verify_chain(colorings, chain)
         for a, b in zip(chain.subsets, chain.subsets[1:]):
             assert set(b) <= set(a)
+
+
+def test_verify_chain_rejects_one_wrong_color():
+    ground = range(1, 7)
+    colorings = [
+        constant_coloring(ground, 0),
+        constant_coloring(ground, 1, color=2),
+        constant_coloring(ground, 2, color=1),
+    ]
+    chain = iterated_chain(colorings, [6, 4, 3])
+    assert verify_chain(colorings, chain)
+    wrong_eps = HomogeneousChain(chain.subsets, chain.epsilons[:2] + (0,))
+    assert not verify_chain(colorings, wrong_eps)
+    edge = next(combinations(chain.subsets[2], 2))
+    recolored = Coloring(
+        ground, 2, {frozenset(c): int(c == edge) for c in combinations(ground, 2)}
+    )
+    assert not verify_chain(colorings[:2] + [recolored], chain)
+
+
+def test_verify_chain_passes_levels_with_fewer_than_k_elements():
+    ground = range(1, 5)
+    colorings = [
+        constant_coloring(ground, 0, color=3),
+        constant_coloring(ground, 1, color=1),
+        random_coloring(ground, 2, 2, random.Random(0)),
+    ]
+    # X_2 = {1}, and {1, 1} has one element: no 2-subset to check
+    for last in ((1,), (1, 1)):
+        chain = HomogeneousChain(((1, 2, 3), (1, 2), last), (3, 1, 7))
+        assert verify_chain(colorings, chain)
+    # X_2 = {1, 2} has one 2-subset, whose color is not 7
+    chain = HomogeneousChain(((1, 2, 3), (1, 2), (1, 2)), (3, 1, 7))
+    assert not verify_chain(colorings, chain)
 
 
 def test_chain_size_validation():
@@ -406,3 +445,53 @@ def test_dump_load_dump_is_byte_stable():
     assert len(k3.splitlines()) == 2 + comb(6, 3)
     for text in (k0, k3):
         assert dump_coloring(load_coloring(text)) == text
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Coloring(range(3), -1, {}),
+        lambda: constant_coloring(range(3), -1),
+        lambda: random_coloring(range(3), -1, 2, random.Random(0)),
+    ],
+    ids=["Coloring", "constant", "random"],
+)
+def test_negative_k_is_rejected_alike(build):
+    with pytest.raises(ValueError, match=r"^k must be >= 0$"):
+        build()
+
+
+# C(100, 10) is about 1.7e13 k-subsets
+OVERSIZE_FILE = "ground: " + " ".join(map(str, range(1, 101))) + "\nk: 10\n"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Coloring(range(100), 10, {}),
+        lambda: constant_coloring(range(100), 10),
+        lambda: random_coloring(range(100), 10, 2, random.Random(0)),
+        lambda: load_coloring(OVERSIZE_FILE),
+        lambda: load_coloring(OVERSIZE_FILE + "1 2 3 4 5 6 7 8 9 10 : 0\n"),
+    ],
+    ids=["Coloring", "constant", "random", "load", "load-with-row"],
+)
+def test_oversize_tables_are_refused_before_allocation(build):
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=f"above the cap {TABLE_CAP}"):
+        build()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_table_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(ramsey, "TABLE_CAP", comb(5, 2))
+    assert len(constant_coloring(range(5), 2).table) == 10
+    text = dump_coloring(random_coloring(range(5), 3, 2, random.Random(0)))
+    assert len(load_coloring(text).table) == 10
+    edges = {frozenset(c): 0 for c in combinations(range(6), 2)}
+    for build in (
+        lambda: constant_coloring(range(6), 2),
+        lambda: Coloring(range(6), 2, edges),
+    ):
+        with pytest.raises(ResourceLimitError, match="needs 15 colors, above the cap 10"):
+            build()

@@ -35,7 +35,7 @@ from multrep import (
     window_stats,
 )
 from multrep.catalog import closed_form
-from multrep.integer_sets import SIEVE_LIMIT, primes_up_to
+from multrep.integer_sets import SIEVE_LIMIT, factorize, primes_up_to
 
 from conftest import (
     naive_divisors,
@@ -191,6 +191,16 @@ def test_input_validation():
         list(scan_counts(system, 0, 10))
     with pytest.raises(ValueError):
         list(scan_counts(system, 10, 9))
+
+
+@pytest.mark.parametrize("n", [0, -5, 2**63])
+def test_count_takes_its_range_from_factorize(n):
+    with pytest.raises((ValueError, FactorizationLimitError)) as expected:
+        factorize(n)
+    for system in (build("fundamental", 2).system, build("s-inf", 3, s=2).system):
+        with pytest.raises(expected.type) as got:
+            count_system_reps(system, n)
+        assert str(got.value) == str(expected.value)
 
 
 # random systems drawn from every set kind; the multiplicative leaves are
