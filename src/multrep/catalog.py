@@ -98,12 +98,8 @@ def closed_form(construction: NamedConstruction, n: int) -> int:
         total = 0
         for alloc in _iproduct(*(range(min(e, m) + 1) for e in exps)):
             used = sum(alloc)
-            if used > m:
-                continue
-            ways = math.factorial(m) // math.factorial(m - used)
-            for a in alloc:
-                ways //= math.factorial(a)
-            total += ways
+            if used <= m:
+                total += multinomial(m, [*alloc, m - used])
         return total
     raise ValueError(f"unknown construction {name!r}")
 

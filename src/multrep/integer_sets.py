@@ -18,7 +18,7 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import compress, count
 
 from .errors import FactorizationLimitError, ResourceLimitError
@@ -528,13 +528,6 @@ class Intersection(SetDescription):
                 yield v
 
 
-# Counting decides membership in tables of its own, one per call; this
-# cache serves witness checks, cover blocks and additive counts, and is
-# bounded so that it cannot grow for the life of the process.
-MEMBERSHIP_CACHE_SIZE = 1 << 16
-
-
-@lru_cache(maxsize=MEMBERSHIP_CACHE_SIZE)
 def membership(d: SetDescription, n: int) -> bool:
     """True iff n belongs to the described set.  Total for 0 <= n <= 2^63-1."""
     if n < 0:

@@ -1,5 +1,7 @@
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +191,51 @@ def test_correspond_command(capsys):
     record = json.loads(out)
     assert record["equal"] is True
     assert record["system_count"] == record["cover_count"] == 4  # 1 + omega = 4
+
+
+def test_correspond_at_the_13_prime_primorial_h4(capsys):
+    code, out, _ = run(
+        capsys, "correspond",
+        "--system", "parts:AllNaturals;AllNaturals;AllNaturals;AllNaturals",
+        "--q", "304250263527210", "--format", "json",
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["system_count"] == record["cover_count"] == 4**13
+
+
+def test_correspond_rejects_a_universe_that_is_not_prime(capsys):
+    code, out, err = run(
+        capsys, "correspond", "--system", "s-inf:h=2,s=2", "--q", "6",
+        "--universe", "2,3,4",
+    )
+    assert (code, out) == (2, "")
+    assert "4 is not prime" in err
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def readme_cli_commands():
+    """The commands of the README's CLI block, continuation lines joined."""
+    text = (REPO / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_cli_examples(capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    commands = readme_cli_commands()
+    assert len(commands) >= 9
+    for line in commands:
+        lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        words = list(lexer)
+        operators = [w for w in words if set(w) <= set(lexer.punctuation_chars)]
+        assert not operators, f"shell operator {operators} in {line!r}"
+        assert words[0] == "multrep"
+        code, _, err = run(capsys, *words[1:])
+        assert code == 0, f"{line!r} exited {code}: {err}"
 
 
 def test_usage_errors_exit_2(capsys):

@@ -335,14 +335,6 @@ def test_multiplicative_kinds(d, multiplicative):
                     assert membership(d, a * b) == both
 
 
-def test_membership_cache_is_bounded():
-    maxsize = membership.cache_info().maxsize
-    assert maxsize is not None
-    for n in range(maxsize + 100):
-        membership(AllNaturals(), n)
-    assert membership.cache_info().currsize <= maxsize
-
-
 def test_sieve_matches_plain_sieve(monkeypatch):
     limit = 1 << 17
     monkeypatch.setattr(integer_sets, "_spf", [])

@@ -1,0 +1,35 @@
+"""Smoke runs of the experiment scripts as subprocesses, on small inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_window_scan_script():
+    done = run_script("window_scan.py", "--system", "s-inf:h=3,s=2", "--hi", "60")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "n,count"
+    assert lines[1:] and lines[-1].startswith("60,")
+    assert done.stderr.startswith("window evidence: {")
+
+
+def test_mh_table_report_script():
+    done = run_script("mh_table_report.py", "--h", "2", "--scan-max", "60")
+    assert done.returncode == 0, done.stderr
+    rows = [line for line in done.stdout.splitlines() if line.startswith("(")]
+    assert rows and all(": ok;" in row for row in rows)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -15,7 +16,6 @@ from multrep import (
     count_ordered_covers,
     explicit_family,
     image_family,
-    membership,
     multinomial,
     phi,
     verify_correspondence,
@@ -39,13 +39,13 @@ def test_empty_cover():
     assert count_ordered_covers(frozenset(), fams) == 1
 
 
-def test_cover_oracle_equivalence():
-    rng = random.Random(7)
+def check_random_covers(rng, hs, rounds):
+    """Random explicit, cardinality and image families against the oracle."""
     universe = list(range(1, 7))
-    for _ in range(30):
+    for _ in range(rounds):
         s = frozenset(rng.sample(universe, rng.randrange(0, 6)))
         fams = []
-        for _ in range(rng.choice([2, 3])):
+        for _ in range(rng.choice(hs)):
             kind = rng.randrange(3)
             if kind == 0:
                 fams.append(by_cardinality(rng.sample(range(0, 7), 3)))
@@ -58,6 +58,35 @@ def test_cover_oracle_equivalence():
             else:
                 fams.append(image_family(PrimesWithOne(), [2, 3, 5, 7, 11, 13]))
         assert count_ordered_covers(s, fams) == oracle_count_covers(s, fams)
+
+
+def test_cover_oracle_equivalence():
+    check_random_covers(random.Random(7), [2, 3], 30)
+
+
+def test_cover_oracle_equivalence_h4_h5():
+    check_random_covers(random.Random(11), [4, 5], 40)
+    image = image_family(PrimesWithOne(), [2, 3, 5])
+    for h in (4, 5):
+        fams = [by_cardinality({0}), explicit_family([()])] + [image] * (h - 2)
+        assert count_ordered_covers(frozenset(), fams) == 1
+        assert oracle_count_covers(frozenset(), fams) == 1
+
+
+def test_cover_count_memory_is_bounded():
+    fams = [by_cardinality(range(19))] * 2
+    tracemalloc.start()
+    try:
+        assert count_ordered_covers(range(18), fams) == 2**18
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_image_family_rejects_a_universe_that_is_not_prime():
+    with pytest.raises(ValueError, match="4 is not prime"):
+        image_family(AllNaturals(), [2, 4])
 
 
 def test_image_family_uses_base_membership():
