@@ -152,7 +152,6 @@ def verify(
     construction: NamedConstruction,
     scan_max: int,
     keep_rows: bool = False,
-    evidence_max_k: int = 10,
 ) -> VerificationReport:
     """Compare closed-form and brute-force counts for every n <= scan_max,
     report the window min/max, and (for limsup = inf families) a monotone
@@ -191,9 +190,9 @@ def verify(
         if construction.name == "one-inf":
             # primorials have a single factor of 2, so powers of 2 are the
             # monotone witness sequence for this family
-            seq = [(k, 2**k) for k in range(1, evidence_max_k + 1)]
+            seq = [(k, 2**k) for k in range(1, 11)]
         else:
-            seq = list(enumerate(primorials(), start=1))[:evidence_max_k]
+            seq = list(enumerate(primorials(), start=1))[:10]
         for k, n in seq:
             evidence.append(
                 (k, n, count_system_reps(system, n, tuple_cap=0).count)

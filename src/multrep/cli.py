@@ -16,7 +16,6 @@ from . import catalog, ramsey, repcount, set_partitions, squarefree_map, witness
 from .errors import (
     CapacityOverflowError,
     FactorizationLimitError,
-    NotSquarefreeError,
     ResourceLimitError,
     SearchBudgetExceeded,
 )
@@ -177,7 +176,7 @@ def cmd_partitions(args) -> int:
         _emit_csv(["blocks"], rows)
     else:
         for (line,) in rows:
-            print(line or "(empty)")
+            print(line)
         print(f"total: {len(parts)}", file=sys.stderr)
     return 0
 
@@ -268,7 +267,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ConfigError, NotSquarefreeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (

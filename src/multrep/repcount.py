@@ -14,18 +14,21 @@ of m | n by parts i..h-1, in one of two ways:
   lattice       otherwise, level by level from the last part, with each
                 part's membership decided once per divisor of n.
 
-Tuples come from a lexicographic depth-first walk that enters a branch
-only when its suffix count is non-zero, so listing stops after tuple_cap
-tuples however large g(n) is.  Window scans count a whole window in one
-convolution pass (_window_counts).  Counts are exact Python integers;
-window scans return the min/max over a finite range, which is evidence
-about the tails, never a limit.
+Both hand the tuple walk the same tables, flags[i][x] (part i holds the
+divisor with index x) and cnt[i][x]; the prime chains spread theirs only
+when tuples are listed.  The walk is lexicographic and depth-first and
+enters a branch only when its suffix count is non-zero, so listing stops
+after tuple_cap tuples however large g(n) is.  Window scans count a
+whole window in one convolution pass (_window_counts).  Counts are exact
+Python integers; window scans return the min/max over a finite range,
+which is evidence about the tails, never a limit.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 from .integer_sets import (
@@ -78,6 +81,16 @@ class WindowStats:
         }
 
 
+def _spread(rows) -> list:
+    """The products that take one entry from each row, in divisor index
+    order: the product at index sum a_j * s_j takes entry a_j of row j,
+    where s_j is the product of the lengths of the rows before row j."""
+    out = [1]
+    for row in rows:
+        out = [v * r for r in row for v in out]
+    return out
+
+
 def _divisor_values(factors: dict[int, int]) -> list[int]:
     """The divisors of the integer with this factorization, in index order.
 
@@ -85,19 +98,7 @@ def _divisor_values(factors: dict[int, int]) -> list[int]:
     number of divisors over the primes before p_j.  If d divides m, the
     index of m // d is index(m) - index(d).
     """
-    values = [1]
-    for p, e in factors.items():
-        values = [v * q for q in [p**a for a in range(e + 1)] for v in values]
-    return values
-
-
-def _exponents(x: int, exps: list[int]) -> list[int]:
-    """The exponent vector of the divisor with index x."""
-    vec = []
-    for e in exps:
-        x, a = divmod(x, e + 1)
-        vec.append(a)
-    return vec
+    return _spread([[p**a for a in range(e + 1)] for p, e in factors.items()])
 
 
 class _Lattice:
@@ -108,7 +109,7 @@ class _Lattice:
     membership; each level above pairs the members d of part i with the
     support r of the level below, keeping the pairs where d * r divides n.
     Level 0 is needed at n alone, so part 0 is decided only at n // r for
-    the r in the support of level 1.
+    the r in the support of level 1: flags[0] is False elsewhere.
     """
 
     def __init__(self, parts, factors: dict[int, int]):
@@ -139,17 +140,10 @@ class _Lattice:
             self.cnt[i] = below = row
         support = [(r, c) for r, c in enumerate(below) if c]
         first = parts[0]
-        self.flags[0] = {
-            top - r: first.contains_factored(values[top - r], facts[top - r])
-            for r, _ in support
-        }
-        self.count = sum(c for r, c in support if self.flags[0][top - r])
-
-    def member(self, i: int, x: int) -> bool:
-        return self.flags[i][x]
-
-    def suffix(self, i: int, x: int) -> int:
-        return self.cnt[i][x]
+        self.flags[0] = decided = [False] * len(values)
+        for r, _ in support:
+            decided[top - r] = first.contains_factored(values[top - r], facts[top - r])
+        self.count = sum(c for r, c in support if decided[top - r])
 
 
 class _PrimeChains:
@@ -163,28 +157,36 @@ class _PrimeChains:
     coefficients over the primes.  The polynomials are evaluated at
     x = 2^width (Kronecker substitution), so that one integer product
     computes all coefficients: none exceeds (e+1)^h, which fits a digit.
+
+    flags and cnt are _Lattice's tables at the levels the tuple walk
+    reads, spread from the per-prime rows when first read (a product of
+    0/1 flags is their AND), so a count alone builds neither.
     """
 
     def __init__(self, parts, factors: dict[int, int]):
-        self.exps = list(factors.values())
+        self.h = len(parts)
         self.allowed = []  # per prime, per part: membership of p^0..p^e
-        self.chains = []  # per prime: (width, suffix products for levels 0..h)
+        self.chains = []  # per prime: (e, width, suffix products for levels 0..h)
         self.count = 1
         for p, e in factors.items():
             allowed, width, suffixes = _prime_chain(parts, p, e)
             self.allowed.append(allowed)
-            self.chains.append((width, suffixes))
+            self.chains.append((e, width, suffixes))
             self.count *= _digit(suffixes[0], e, width)
 
-    def member(self, i: int, x: int) -> bool:
-        vec = _exponents(x, self.exps)
-        return all(allowed[i][a] for allowed, a in zip(self.allowed, vec))
+    @cached_property
+    def flags(self) -> list:
+        return [_spread(rows[i] for rows in self.allowed) for i in range(self.h - 1)]
 
-    def suffix(self, i: int, x: int) -> int:
-        out = 1
-        for (width, suffixes), a in zip(self.chains, _exponents(x, self.exps)):
-            out *= _digit(suffixes[i], a, width)
-        return out
+    @cached_property
+    def cnt(self) -> list:
+        return [None] + [
+            _spread(
+                [_digit(suffixes[i], a, width) for a in range(e + 1)]
+                for e, width, suffixes in self.chains
+            )
+            for i in range(1, self.h)
+        ]
 
 
 def _prime_chain(parts, p: int, e: int):
@@ -214,6 +216,7 @@ def _lex_tuples(table, n: int, h: int, factors: dict[int, int], cap: int):
     suffix count is non-zero, so every branch entered yields a tuple.
     The suffix count is read before membership, which a table therefore
     need decide only where the suffix count is non-zero."""
+    flags, cnt = table.flags, table.cnt
     values = _divisor_values(factors)
     ordered = sorted(zip(values, range(len(values))))
     found: list[tuple[int, ...]] = []
@@ -225,7 +228,7 @@ def _lex_tuples(table, n: int, h: int, factors: dict[int, int], cap: int):
         for v, d in ordered:
             if v > m:
                 return
-            if m % v == 0 and table.suffix(i + 1, x - d) and table.member(i, d):
+            if m % v == 0 and cnt[i + 1][x - d] and flags[i][d]:
                 walk(i + 1, m // v, x - d, prefix + (v,))
                 if len(found) == cap:
                     return

@@ -100,9 +100,7 @@ def _blocks(elems):
             yield lower | upper
 
 
-def count_ordered_covers(
-    s, families, max_size: int | None = None
-) -> int:
+def count_ordered_covers(s, families) -> int:
     """Exact count of ordered disjoint covers of s by family blocks.
 
     A fold over bitmasks, bit i standing for the i-th smallest element of
@@ -111,15 +109,14 @@ def count_ordered_covers(
     a block a it accepts adds ways[r] to the next level at r | a for every
     submask r of the complement of a.  The first family is needed only at
     the full mask.  That is O(h * 3^|s|) additions, and 2^|s| decisions
-    per family, so h = 2 costs O(2^|s|).
+    per family, so h = 2 costs O(2^|s|).  ResourceLimitError when |s|
+    exceeds SIZE_CAP_H2 (h = 2) or SIZE_CAP_DEFAULT (h > 2).
     """
     fams = tuple(families)
     if len(fams) < 2:
         raise ValueError("need h >= 2 families")
     elems = tuple(sorted(s))
-    cap = max_size if max_size is not None else (
-        SIZE_CAP_H2 if len(fams) == 2 else SIZE_CAP_DEFAULT
-    )
+    cap = SIZE_CAP_H2 if len(fams) == 2 else SIZE_CAP_DEFAULT
     if len(elems) > cap:
         raise ResourceLimitError(
             f"|S| = {len(elems)} exceeds the size cap {cap}"
@@ -178,12 +175,13 @@ def verify_correspondence(
     system: MultiplicativeSystem, q: int, universe
 ) -> CorrespondenceReport:
     """Check g(q) against the ordered-cover count of phi(q) under the
-    system's image families.  Inequality indicates an implementation bug."""
+    system's image families.  Inequality indicates an implementation bug.
+    The cover count's size caps hold here too."""
     s = phi(q).as_frozenset()
     universe = frozenset(universe)
     if not s <= universe:
         raise ValueError("phi(q) must be contained in the universe")
     fams = [image_family(part, universe) for part in system.parts]
-    cover = count_ordered_covers(s, fams, max_size=len(s))
+    cover = count_ordered_covers(s, fams)
     sys_count = count_system_reps(system, q, tuple_cap=0).count
     return CorrespondenceReport(q, sys_count, cover, sys_count == cover)

@@ -9,7 +9,6 @@ prime sets covering the prime divisors of q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _iproduct
 
 from .errors import CapacityOverflowError, NotSquarefreeError, ResourceLimitError
 from .integer_sets import MAX_INT, factorize, is_prime
@@ -52,14 +51,6 @@ def prime_set(primes) -> PrimeSet:
     return PrimeSet(tuple(sorted(set(primes))))
 
 
-def _checked_prime_set(primes: tuple[int, ...]) -> PrimeSet:
-    """A PrimeSet of primes that already passed PrimeSet's checks, built
-    without running them again."""
-    s = object.__new__(PrimeSet)
-    object.__setattr__(s, "primes", primes)
-    return s
-
-
 def omega(n: int) -> int:
     """Number of distinct prime divisors; omega(1) == 0."""
     return len(factorize(n))
@@ -88,7 +79,8 @@ def factorizations_as_partitions(
     Emitted in lexicographic order of the slot-assignment word, primes
     taken in increasing order.  Applying the product map coordinate-wise
     gives exactly the ordered factorizations of q into coprime
-    squarefree factors.
+    squarefree factors.  The tuples share the 2^omega(q) blocks, each
+    built once and indexed by mask: bit i picks the i-th smallest prime.
     """
     if h < 2:
         raise ValueError("h must be >= 2")
@@ -98,10 +90,15 @@ def factorizations_as_partitions(
         raise ResourceLimitError(
             f"{total} partitions exceed the output cap {cap}"
         )
-    out = []
-    for word in _iproduct(range(h), repeat=len(ps)):
-        slots: list[list[int]] = [[] for _ in range(h)]
-        for p, slot in zip(ps, word):
-            slots[slot].append(p)
-        out.append(tuple(_checked_prime_set(tuple(block)) for block in slots))
-    return out
+    blocks = [PrimeSet(())]
+    for p in ps:
+        blocks += [PrimeSet(b.primes + (p,)) for b in blocks]
+    # every assignment of the primes from the i-th on to the slots, as
+    # one mask per slot, in lexicographic order of the word
+    words = [(0,) * h]
+    for i in reversed(range(len(ps))):
+        bit = 1 << i
+        words = [
+            w[:j] + (w[j] | bit,) + w[j + 1:] for j in range(h) for w in words
+        ]
+    return [tuple(blocks[m] for m in w) for w in words]

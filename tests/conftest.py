@@ -57,6 +57,16 @@ def oracle_count_covers(s, families):
     return total
 
 
+def oracle_partitions(primes, h):
+    """Every word assigning the sorted primes to h slots, in lexicographic
+    order, as the tuple of each slot's primes."""
+    ps = sorted(primes)
+    return [
+        tuple(tuple(p for p, w in zip(ps, word) if w == i) for i in range(h))
+        for word in product(range(h), repeat=len(ps))
+    ]
+
+
 def sieve_squarefree(limit):
     """Mark multiples of p^2; returns the squarefree integers <= limit."""
     flags = [True] * (limit + 1)

@@ -89,7 +89,7 @@ def test_verify_fundamental_h3():
 
 
 def test_verify_s_inf_prime_values_and_evidence():
-    report = verify(build("s-inf", 2, s=2), 300, evidence_max_k=7)
+    report = verify(build("s-inf", 2, s=2), 300)
     assert report.prime_values_ok
     assert len(report.prime_values) == 100
     assert all(c == 2 for _, c in report.prime_values)
@@ -100,9 +100,9 @@ def test_verify_s_inf_prime_values_and_evidence():
 
 
 def test_verify_one_inf_evidence_monotone():
-    report = verify(build("one-inf", 2), 200, evidence_max_k=8)
+    report = verify(build("one-inf", 2), 200)
     counts = [c for _, _, c in report.evidence]
-    assert counts == list(range(2, 10))  # count at 2^k is k+1
+    assert counts == list(range(2, 12))  # count at 2^k is k+1, k = 1..10
 
 
 def test_verify_rows():

@@ -204,6 +204,25 @@ def test_correspond_at_the_13_prime_primorial_h4(capsys):
     assert record["system_count"] == record["cover_count"] == 4**13
 
 
+def test_correspond_obeys_the_cover_size_caps(capsys):
+    q = 614889782588491410  # the product of the first 15 primes
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "correspond",
+        "--system", "parts:AllNaturals;AllNaturals;AllNaturals;AllNaturals",
+        "--q", str(q),
+    )
+    assert time.perf_counter() - start < 2.0
+    assert (code, out, err) == (1, "", "error: |S| = 15 exceeds the size cap 13\n")
+    code, out, _ = run(
+        capsys, "correspond", "--system", "parts:AllNaturals;AllNaturals",
+        "--q", str(q), "--format", "json",
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["system_count"] == record["cover_count"] == 2**15
+
+
 def test_correspond_rejects_a_universe_that_is_not_prime(capsys):
     code, out, err = run(
         capsys, "correspond", "--system", "s-inf:h=2,s=2", "--q", "6",

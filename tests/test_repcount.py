@@ -288,6 +288,29 @@ def test_listing_is_lexicographic_prefix(system, n, cap):
     assert w.truncated == (len(expected) > cap)
 
 
+@pytest.mark.parametrize(
+    "system",
+    [
+        build("fundamental", 2).system,
+        build("fundamental", 3).system,
+        build("one-t", 3, t=3).system,
+        basis_system(AllNaturals(), 3),
+        MultiplicativeSystem((Squarefree(), AllNaturals(), Squarefree())),
+        MultiplicativeSystem((Squarefree(), Squarefree())),
+    ],
+)
+def test_prime_chains_and_lattice_agree_at_large_divisor_counts(system):
+    # a Union of one part is the same set but not marked multiplicative,
+    # so the wrapped system is counted and walked on the lattice
+    wrapped = MultiplicativeSystem(tuple(Union((part,)) for part in system.parts))
+    assert system.multiplicative and not wrapped.multiplicative
+    for n in (1, 720720, 3603600, 2**10 * 3**5):
+        for cap in (0, 5, 64):
+            assert count_system_reps(system, n, cap) == count_system_reps(
+                wrapped, n, cap
+            )
+
+
 def test_primorial_under_naturals_cubed():
     n = primorials()[-1]  # the product of the first 15 primes
     system = basis_system(AllNaturals(), 3)

@@ -16,7 +16,7 @@ from multrep import (
     prime_set,
 )
 
-from conftest import sieve_squarefree
+from conftest import oracle_partitions, sieve_squarefree
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
@@ -97,6 +97,16 @@ def test_partitions_map_to_coprime_factorizations():
                 seen.add(factors)
             # the correspondence is a bijection onto ordered factorizations
             assert len(seen) == h ** omega(q)
+
+
+def test_partitions_follow_the_oracle_order():
+    for primes in (SMALL_PRIMES[:7], (3, 7, 13, 101, 997, 65537, 1_000_003)):
+        for k in range(len(primes) + 1):
+            for h in (2, 3, 4):
+                got = factorizations_as_partitions(prod(primes[:k]), h)
+                assert [tuple(b.primes for b in t) for t in got] == (
+                    oracle_partitions(primes[:k], h)
+                )
 
 
 def test_partitions_cap():
