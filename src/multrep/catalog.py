@@ -34,7 +34,7 @@ from .integer_sets import (
     primes_up_to,
     nth_prime,
 )
-from .repcount import WindowStats, count_system_reps, scan_counts, summarize_window
+from .repcount import WindowStats, _counts, scan_counts, summarize_window
 from .set_partitions import multinomial
 
 INFINITE = math.inf
@@ -179,10 +179,7 @@ def verify(
     prime_values = None
     prime_values_ok = None
     if construction.name == "s-inf":
-        prime_values = [
-            (p, count_system_reps(system, p, tuple_cap=0).count)
-            for p in map(nth_prime, range(1, 101))
-        ]
+        prime_values = list(_counts(system, map(nth_prime, range(1, 101))))
         prime_values_ok = all(c == construction.s for _, c in prime_values)
 
     evidence = []
@@ -193,10 +190,8 @@ def verify(
             seq = [(k, 2**k) for k in range(1, 11)]
         else:
             seq = list(enumerate(primorials(), start=1))[:10]
-        for k, n in seq:
-            evidence.append(
-                (k, n, count_system_reps(system, n, tuple_cap=0).count)
-            )
+        counts = _counts(system, (n for _, n in seq))
+        evidence = [(k, n, c) for (k, _), (n, c) in zip(seq, counts)]
 
     return VerificationReport(
         construction=construction,

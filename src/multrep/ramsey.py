@@ -215,11 +215,13 @@ def find_homogeneous(
 
     # sums[j] holds, for each j-subset of the chosen positions, the sum of
     # its weights; a k-subset that ends at a new position p has rank
-    # s + last[p] for s in sums[k - 1].
-    def extend(chosen: list[int], start: int, sums, color):
-        nonlocal nodes
-        if len(chosen) == m:
-            return tuple(ground[p] for p in chosen)
+    # s + last[p] for s in sums[k - 1].  A frame (next index, sums, color)
+    # resumes the scan for position len(chosen) + 1; choosing a position
+    # pushes the frame that resumes this scan, then the next depth's.
+    chosen: list[int] = []
+    frames = [(0, [[0]] + [[] for _ in range(k - 1)], None)]
+    while frames:
+        start, sums, color = frames.pop()
         ends = sums[k - 1]
         # not enough positions left to reach size m
         for idx in range(start, len(positions) - (m - len(chosen)) + 1):
@@ -239,17 +241,19 @@ def find_homogeneous(
                     break
             else:
                 chosen.append(p)
+                if len(chosen) == m:
+                    return tuple(ground[q] for q in chosen)
                 grown = [sums[0]] + [
                     sums[j] + [s + weights[j - 1][p] for s in sums[j - 1]]
                     for j in range(1, k)
                 ]
-                found = extend(chosen, idx + 1, grown, new_color)
-                if found is not None:
-                    return found
+                frames.append((idx + 1, sums, color))
+                frames.append((idx + 1, grown, new_color))
+                break
+        else:
+            if chosen:
                 chosen.pop()
-        return None
-
-    return extend([], 0, [[0]] + [[] for _ in range(k - 1)], None)
+    return None
 
 
 def iterated_chain(

@@ -18,10 +18,11 @@ Both hand the tuple walk the same tables, flags[i][x] (part i holds the
 divisor with index x) and cnt[i][x]; the prime chains spread theirs only
 when tuples are listed.  The walk is lexicographic and depth-first and
 enters a branch only when its suffix count is non-zero, so listing stops
-after tuple_cap tuples however large g(n) is.  Window scans count a
-whole window in one convolution pass (_window_counts).  Counts are exact
-Python integers; window scans return the min/max over a finite range,
-which is evidence about the tails, never a limit.
+after tuple_cap tuples however large g(n) is.  Window scans, witness
+streams and catalog evidence read their counts from one generator
+(_counts).  Counts are exact Python integers; window scans return the
+min/max over a finite range, which is evidence about the tails, never a
+limit.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
+from .errors import ResourceLimitError
 from .integer_sets import (
     SIEVE_LIMIT,
     MultiplicativeSystem,
@@ -41,6 +43,10 @@ from .integer_sets import (
 )
 
 DEFAULT_TUPLE_CAP = 64
+
+# the most (member, support) pairs the lattice may test at one n, summed
+# over its middle levels
+PAIR_CAP = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -108,6 +114,8 @@ class _Lattice:
     x by parts i..h-1, for 1 <= i < h.  cnt[h-1] is the last part's
     membership; each level above pairs the members d of part i with the
     support r of the level below, keeping the pairs where d * r divides n.
+    More than PAIR_CAP pairs in all raise ResourceLimitError before the
+    level that would pass it is paired.
     Level 0 is needed at n alone, so part 0 is decided only at n // r for
     the r in the support of level 1: flags[0] is False elsewhere.
     """
@@ -129,10 +137,18 @@ class _Lattice:
         self.flags = [None] + [known[id(part)] for part in parts[1:]]
         self.cnt = [None] * h
         self.cnt[h - 1] = below = self.flags[h - 1]
+        pairs = 0
         for i in range(h - 2, 0, -1):
             support = [(r, c) for r, c in enumerate(below) if c]
+            members = [d for d, ok in enumerate(self.flags[i]) if ok]
+            pairs += len(members) * len(support)
+            if pairs > PAIR_CAP:
+                raise ResourceLimitError(
+                    f"the divisor lattice of {values[top]} needs at least "
+                    f"{pairs} member-support pairs, above the cap {PAIR_CAP}"
+                )
             row = [0] * len(values)
-            for d in [d for d, ok in enumerate(self.flags[i]) if ok]:
+            for d in members:
                 rest = values[top - d]  # n // values[d]
                 for r, c in support:
                     if rest % values[r] == 0:
@@ -243,7 +259,11 @@ def count_system_reps(
     """Exact number of ordered tuples (b_1,...,b_h) with b_i in parts[i]
     and product n, plus the first tuple_cap of them in lexicographic
     order.  factorize decides the range of n: ValueError for n < 1,
-    FactorizationLimitError above 64-bit range."""
+    FactorizationLimitError above 64-bit range.  A system with a part
+    that is not multiplicative is counted on the divisor lattice, whose
+    middle levels pair members with supports; ResourceLimitError if that
+    takes more than PAIR_CAP (2^26) pairs, as a dense three-part system
+    at the 15-prime primorial does."""
     factors = factorize(n)
     engine = _PrimeChains if system.multiplicative else _Lattice
     table = engine(system.parts, factors)
@@ -282,35 +302,37 @@ def count_additive_reps(a: SetDescription, h: int, n: int) -> int:
     return ways[n]
 
 
-def _window_counts(system: MultiplicativeSystem, lo: int, hi: int):
-    """Yield g(n) for n in [lo, hi], counting the window in one pass.
+def _counts(system: MultiplicativeSystem, ns):
+    """Yield (n, g(n)) for each n of the iterable ns, in order.
 
     The count does not depend on the order of the parts, so g is the
     Dirichlet convolution F * G.  F(m) counts the tuples of the parts
-    that are not multiplicative with product m <= hi, convolved from
-    their sorted members; G(k) = prod c(p, e) over the p^e exactly
-    dividing k counts those of the multiplicative parts, as the prime
-    chains do.  g(n) sums F(m) G(n / m) over the m in the support of F,
-    found by walking the multiples of each m in the window.  Members are
-    listed only below SIEVE_LIMIT; above it a system with a part that is
-    not multiplicative is counted one n at a time.  The tables live for
-    one call, and c(p, e) is kept only for p below SIEVE_LIMIT, so they
-    are bounded.  Where a count can raise (above SIEVE_LIMIT: a
-    factorization or a prime index out of range), counts are computed
-    as they are yielded, so a scan yields every count before that one.
+    that are not multiplicative with product m; G(k) = prod c(p, e) over
+    the p^e exactly dividing k counts those of the multiplicative parts,
+    as the prime chains do.  The input decides the path.  If every part
+    is multiplicative, g = G at each n, with c(p, e) kept for the call
+    (for p below SIEVE_LIMIT, so the table is bounded).  If ns is a
+    range of step 1 ending at or below SIEVE_LIMIT, F is convolved from
+    the parts' sorted members up to its end, and g(n) sums F(m) G(n / m)
+    over the support of F, walking the multiples of each m in the range.
+    Anything else is counted by count_system_reps, one n at a time.
+    Only the convolution counts ahead, so a caller that stops early pays
+    for no more n, and where a count raises (a factorization or a prime
+    index out of range) every count before it has been yielded.
     """
     mult = [part for part in system.parts if part.multiplicative]
     rest = [part for part in system.parts if not part.multiplicative]
-    if rest and hi >= SIEVE_LIMIT:
-        for n in range(lo, hi + 1):
-            yield count_system_reps(system, n, tuple_cap=0).count
+    window = isinstance(ns, range) and ns.step == 1 and ns.stop <= SIEVE_LIMIT
+    if rest and not window:
+        for n in ns:
+            yield n, count_system_reps(system, n, tuple_cap=0).count
         return
     conv = {1: 1}
     for part in rest:
-        members = list(part.iter_up_to(hi))
+        members = list(part.iter_up_to(ns[-1]))
         nxt: dict[int, int] = {}
         for m, c in conv.items():
-            for d in members[: bisect_right(members, hi // m)]:
+            for d in members[: bisect_right(members, ns[-1] // m)]:
                 nxt[m * d] = nxt.get(m * d, 0) + c
         conv = nxt
     digits: dict[tuple[int, int], int] = {}  # c(p, e)
@@ -328,24 +350,25 @@ def _window_counts(system: MultiplicativeSystem, lo: int, hi: int):
         return g
 
     if conv == {1: 1}:  # the other parts contribute only 1 to a product
-        yield from map(chains, range(lo, hi + 1))
+        yield from ((n, chains(n)) for n in ns)
         return
+    lo, hi = ns[0], ns[-1]
     memo: dict[int, int] = {}  # G(k)
-    counts = [0] * (hi - lo + 1)
+    counts = [0] * len(ns)
     for m, c in conv.items():
         for k in range(-(-lo // m), hi // m + 1):
             g = memo.get(k)
             if g is None:
                 g = memo[k] = chains(k)
             counts[k * m - lo] += c * g
-    yield from counts
+    yield from zip(ns, counts)
 
 
 def scan_counts(system: MultiplicativeSystem, lo: int, hi: int):
     """Yield (n, g(n)) for n in [lo, hi]."""
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
-    yield from zip(range(lo, hi + 1), _window_counts(system, lo, hi))
+    yield from _counts(system, range(lo, hi + 1))
 
 
 def window_stats(system: MultiplicativeSystem, lo: int, hi: int) -> WindowStats:

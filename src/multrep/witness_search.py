@@ -14,9 +14,10 @@ for the others it need not be.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .integer_sets import MultiplicativeSystem, membership, primes_up_to
-from .repcount import RepWitness, count_system_reps
+from .repcount import RepWitness, _counts, count_system_reps
 
 STRATEGIES = ("squarefree-rich", "exhaustive", "hybrid")
 
@@ -133,11 +134,9 @@ def find_witness(
     tried = 0
     best = 0
     best_n = None
-    for n in candidate_stream(budget.strategy, budget.max_n):
-        if tried >= budget.max_candidates:
-            break
+    counts = _counts(system, candidate_stream(budget.strategy, budget.max_n))
+    for n, count in islice(counts, budget.max_candidates):
         tried += 1
-        count = count_system_reps(system, n, tuple_cap=0).count
         if count > best:
             best, best_n = count, n
         elif count == best and best_n is not None and n < best_n:

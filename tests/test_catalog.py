@@ -14,6 +14,7 @@ from multrep import (
     primorials,
     verify,
 )
+from multrep.integer_sets import nth_prime
 
 from conftest import oracle_count_reps
 
@@ -145,3 +146,23 @@ def test_mh_table():
 
     with pytest.raises(ValueError):
         mh_table(1)
+
+
+@pytest.mark.parametrize(
+    "construction", [build("s-inf", 3, s=3), build("s-inf", 2, s=2), build("one-inf", 3)]
+)
+def test_verify_reads_the_counts_of_single_n(construction):
+    report = verify(construction, 30)
+    system = construction.system
+
+    def count(n):
+        return count_system_reps(system, n, tuple_cap=0).count
+
+    if construction.name == "s-inf":
+        primes = [nth_prime(k) for k in range(1, 101)]
+        assert report.prime_values == [(p, count(p)) for p in primes]
+        seq = list(enumerate(primorials(), start=1))[:10]
+    else:
+        assert report.prime_values is None
+        seq = [(k, 2**k) for k in range(1, 11)]
+    assert report.evidence == [(k, n, count(n)) for k, n in seq]

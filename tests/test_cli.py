@@ -269,3 +269,26 @@ def test_byte_identical_output(capsys):
     _, out_a, _ = run(capsys, *args)
     _, out_b, _ = run(capsys, *args)
     assert out_a == out_b
+
+
+def test_count_obeys_the_lattice_pair_cap(capsys):
+    n = 614889782588491410  # the product of the first 15 primes
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "count", "--system", "parts:Primes;AllNaturals;AllNaturals",
+        "--n", str(n),
+    )
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: the divisor lattice of {n} needs at least 1073741824 "
+        "member-support pairs, above the cap 67108864\n"
+    )
+    # a dense point below the cap still answers
+    code, out, _ = run(
+        capsys, "count", "--system",
+        "parts:AllNaturals;Union(Squarefree,PowersOf(2,1));AllNaturals",
+        "--n", "97821761637600", "--tuple-cap", "0",
+    )
+    assert code == 0
+    assert "count: 1833075\n" in out

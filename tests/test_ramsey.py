@@ -495,3 +495,10 @@ def test_table_cap_is_inclusive(monkeypatch):
     ):
         with pytest.raises(ResourceLimitError, match="needs 15 colors, above the cap 10"):
             build()
+
+
+def test_search_depth_is_not_limited_by_the_call_stack():
+    # one chosen element per level: 1100 levels, far past the default
+    # recursion limit
+    coloring = constant_coloring(range(1200), 1)
+    assert find_homogeneous(coloring, 1100) == tuple(range(1100))

@@ -5,14 +5,19 @@ import pytest
 
 from multrep import (
     AllNaturals,
+    MultiplicativeSystem,
+    PrimesWithOne,
     ResourceLimitError,
     SearchBudget,
+    SearchOutcome,
     basis_system,
     build,
     candidate_stream,
     count_system_reps,
     find_witness,
 )
+from multrep.cli import parse_system_spec
+from multrep.witness_search import STRATEGIES
 
 from conftest import naive_divisors
 
@@ -112,3 +117,61 @@ def test_budget_validation():
         SearchBudget(max_candidates=0)
     with pytest.raises(ValueError):
         SearchBudget(strategy="magic")
+
+
+def reference_search(system, target, budget):
+    """The search spelled out: one count per candidate, the largest count
+    seen with its smallest n, stopping at the first count >= target."""
+    tried, best, best_n = 0, 0, None
+    for n in candidate_stream(budget.strategy, budget.max_n):
+        if tried >= budget.max_candidates:
+            break
+        tried += 1
+        count = count_system_reps(system, n, tuple_cap=0).count
+        if count > best:
+            best, best_n = count, n
+        elif count == best and best_n is not None and n < best_n:
+            best_n = n
+        if count >= target:
+            return SearchOutcome(count_system_reps(system, n), tried, best, best_n)
+    return SearchOutcome(None, tried, best, best_n)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "parts:AllNaturals;AllNaturals",
+        "parts:AllNaturals;AllNaturals;AllNaturals;AllNaturals",
+        "fundamental:h=2",
+        "one-inf:h=2",
+        "s-inf:h=4,s=4",
+        "parts:Union(Singleton(1,2,3,4,6,12),Primes);PrimesWithOne;PrimesWithOne",
+        # hybrid meets 5 before 4, both of count 1: the argmax tie rule
+        "parts:Singleton(1,5);Singleton(1,4)",
+    ],
+)
+def test_find_witness_matches_a_reference_loop(spec):
+    system = parse_system_spec(spec)
+    for strategy in STRATEGIES:
+        for target in (2, 30, 10**9):
+            # 137 candidates cut every stream before its end
+            for max_candidates in (10**6, 137):
+                budget = SearchBudget(max_candidates, 1500, strategy)
+                outcome = find_witness(system, target, budget)
+                assert outcome == reference_search(system, target, budget)
+
+
+class PrimesWithOneUnlisted(PrimesWithOne):
+    """PrimesWithOne that refuses to list its members."""
+
+    def iter_up_to(self, limit):
+        raise AssertionError("a candidate stream was counted as a window")
+
+
+def test_witness_streams_never_list_members():
+    part = PrimesWithOneUnlisted()
+    system = MultiplicativeSystem((AllNaturals(), part, part))
+    for strategy in ("exhaustive", "hybrid"):
+        budget = SearchBudget(max_n=10**6, strategy=strategy)
+        outcome = find_witness(system, 9, budget)
+        assert (outcome.witness.n, outcome.witness.count) == (30, 13)
