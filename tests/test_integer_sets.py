@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from array import array
 from math import gcd, isqrt
 
 import pytest
@@ -336,18 +338,39 @@ def test_multiplicative_kinds(d, multiplicative):
 
 
 def test_sieve_matches_plain_sieve(monkeypatch):
-    limit = 1 << 17
-    monkeypatch.setattr(integer_sets, "_spf", [])
+    monkeypatch.setattr(integer_sets, "_spf", array("I"))
     monkeypatch.setattr(integer_sets, "_primes", [])
     monkeypatch.setattr(integer_sets, "_prime_index", {})
-    integer_sets._ensure_sieve(limit)
-    spf = list(range(limit + 1))
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == p:
-            for q in range(p * p, limit + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-    primes = [n for n in range(2, limit + 1) if spf[n] == n]
-    assert integer_sets._spf == spf
-    assert integer_sets._primes == primes
-    assert integer_sets._prime_index == {p: i + 1 for i, p in enumerate(primes)}
+    # a first build, then growth to an odd limit past the doubling
+    for limit in (1 << 16, (1 << 17) + 3):
+        integer_sets._ensure_sieve(limit)
+        spf = list(range(limit + 1))
+        for p in range(2, isqrt(limit) + 1):
+            if spf[p] == p:
+                for q in range(p * p, limit + 1, p):
+                    if spf[q] == q:
+                        spf[q] = p
+        primes = [n for n in range(2, limit + 1) if spf[n] == n]
+        assert list(integer_sets._spf) == spf
+        assert integer_sets._primes == primes
+        assert integer_sets._prime_index == {
+            p: i + 1 for i, p in enumerate(primes)
+        }
+    # callers compare prime lists with lists, which an array never equals
+    assert type(primes_up_to(100)) is list
+
+
+def test_sieve_to_2_20_stays_compact(monkeypatch):
+    # a list of int objects peaks at about 41 MB here, a 4-byte array at
+    # about 14 MB
+    monkeypatch.setattr(integer_sets, "_spf", array("I"))
+    monkeypatch.setattr(integer_sets, "_primes", [])
+    monkeypatch.setattr(integer_sets, "_prime_index", {})
+    tracemalloc.start()
+    try:
+        integer_sets._ensure_sieve(1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(integer_sets._spf) == (1 << 20) + 1
+    assert peak < 20 * 2**20
