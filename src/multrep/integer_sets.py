@@ -57,9 +57,8 @@ def _ensure_sieve(limit: int) -> None:
     """Grow the sieve to cover [0, limit], at least doubling it; doubling
     alone never takes it to PRIME_INDEX_LIMIT.
 
-    _spf is a 4-byte-per-entry array, zero-filled and then written only at
-    1, at the primes and at their multiples: _spf[n] == n for 1 and for
-    each prime, and the smallest prime factor of every composite n."""
+    _spf is an array of 4-byte entries: _spf[n] == n for 1 and for each
+    prime, the smallest prime factor of every composite n, and 0 at 0."""
     global _spf, _primes, _prime_index
     if limit < len(_spf):
         return

@@ -361,8 +361,8 @@ def test_sieve_matches_plain_sieve(monkeypatch):
 
 
 def test_sieve_to_2_20_stays_compact(monkeypatch):
-    # a list of int objects peaks at about 41 MB here, a 4-byte array at
-    # about 14 MB
+    # a list of int objects peaks at about 43 MB, a 4-byte array at about
+    # 14 MB
     monkeypatch.setattr(integer_sets, "_spf", array("I"))
     monkeypatch.setattr(integer_sets, "_primes", [])
     monkeypatch.setattr(integer_sets, "_prime_index", {})
