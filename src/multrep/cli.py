@@ -150,7 +150,10 @@ def cmd_ramsey(args) -> int:
         coloring = ramsey.load_coloring(f.read())
     found = ramsey.find_homogeneous(coloring, args.m, budget=args.budget)
     if found is None:
-        print("none")
+        if args.format == "json":
+            _emit_record({"subset": None, "color": None}, "json")
+        else:
+            print("none")
         return 0
     color = ramsey.homogeneous_color(coloring, found)
     if color is None:

@@ -13,6 +13,7 @@ nonempty, and cover all primes.
 
 from __future__ import annotations
 
+import ast
 import heapq
 import math
 import re
@@ -246,6 +247,16 @@ def factorize(n: int) -> dict[int, int]:
 # prime classes
 # ---------------------------------------------------------------------------
 
+def _sorted_primes(values) -> tuple[int, ...]:
+    """The distinct values, ascending; raises ValueError for one that is
+    not prime."""
+    ps = tuple(sorted(set(values)))
+    for p in ps:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+    return ps
+
+
 class PrimeClass:
     def contains_prime(self, p: int) -> bool:
         raise NotImplementedError
@@ -277,11 +288,7 @@ class ExplicitList(PrimeClass):
     primes: tuple[int, ...]
 
     def __post_init__(self):
-        ps = tuple(sorted(set(self.primes)))
-        for p in ps:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "primes", ps)
+        object.__setattr__(self, "primes", _sorted_primes(self.primes))
 
     def contains_prime(self, p: int) -> bool:
         return p in self.primes
@@ -295,11 +302,7 @@ class Complement(PrimeClass):
     universe: tuple[int, ...]
 
     def __post_init__(self):
-        ps = tuple(sorted(set(self.universe)))
-        for p in ps:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "universe", ps)
+        object.__setattr__(self, "universe", _sorted_primes(self.universe))
 
     def contains_prime(self, p: int) -> bool:
         return p in self.universe and not self.inner.contains_prime(p)
@@ -594,117 +597,77 @@ def basis_system(b: SetDescription, h: int) -> MultiplicativeSystem:
 # config grammar
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|[(),])")
+# Each kind's builder and the shape of its arguments, one letter per
+# argument: i an integer, n inf, s a set term, c a prime-class term.  A
+# kind whose shape is empty is written as a bare name.
+_KINDS = {
+    "AllNaturals": (AllNaturals, ""),
+    "Primes": (Primes, ""),
+    "PrimesWithOne": (PrimesWithOne, ""),
+    "Squarefree": (Squarefree, ""),
+    "Singleton": (lambda *values: Singleton(values), "i+"),
+    "PowersOf": (PowersOf, "ii[in]?"),
+    "SmoothOver": (SmoothOver, "c"),
+    "Union": (lambda *parts: Union(parts), "s+"),
+    "Intersection": (lambda *parts: Intersection(parts), "s+"),
+    "IndexResidue": (IndexResidue, "ii"),
+    "ExplicitList": (lambda *primes: ExplicitList(primes), "i+"),
+    "Complement": (lambda inner, *universe: Complement(inner, universe), "ci*"),
+}
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens: list[str] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise ValueError(f"bad token near {text[pos:]!r}")
-                break
-            self.tokens.append(m.group(1))
-            pos = m.end()
-        self.i = 0
+def _letter(value) -> str:
+    if value is None:
+        return "n"
+    if isinstance(value, int):
+        return "i"
+    return "s" if isinstance(value, SetDescription) else "c"
 
-    def peek(self) -> str | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        self.i += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            raise ValueError(f"expected {tok!r}, got {got!r}")
-
-    def int_arg(self) -> int:
-        tok = self.next()
-        if not tok.isdigit():
-            raise ValueError(f"expected integer, got {tok!r}")
-        return int(tok)
-
-    def args(self, parse_one):
-        self.expect("(")
-        out = [parse_one()]
-        while self.peek() == ",":
-            self.next()
-            out.append(parse_one())
-        self.expect(")")
-        return out
-
-    def set_expr(self) -> SetDescription:
-        name = self.next()
-        if name == "AllNaturals":
-            return AllNaturals()
-        if name == "Primes":
-            return Primes()
-        if name == "PrimesWithOne":
-            return PrimesWithOne()
-        if name == "Squarefree":
-            return Squarefree()
-        if name == "Singleton":
-            return Singleton(tuple(self.args(self.int_arg)))
-        if name == "PowersOf":
-            vals = self.args(self._int_or_inf)
-            if len(vals) not in (2, 3):
-                raise ValueError("PowersOf takes (base, lo[, hi])")
-            base, lo = vals[0], vals[1]
-            hi = vals[2] if len(vals) == 3 else None
-            if base is None or lo is None:
-                raise ValueError("base and lo must be finite")
-            return PowersOf(base, lo, hi)
-        if name == "SmoothOver":
-            (pc,) = self.args(self.class_expr)
-            return SmoothOver(pc)
-        if name == "Union":
-            return Union(tuple(self.args(self.set_expr)))
-        if name == "Intersection":
-            return Intersection(tuple(self.args(self.set_expr)))
-        raise ValueError(f"unknown set kind {name!r}")
-
-    def _int_or_inf(self):
-        tok = self.next()
-        if tok == "inf":
-            return None
-        if not tok.isdigit():
-            raise ValueError(f"expected integer or inf, got {tok!r}")
-        return int(tok)
-
-    def class_expr(self) -> PrimeClass:
-        name = self.next()
-        if name == "IndexResidue":
-            vals = self.args(self.int_arg)
-            if len(vals) != 2:
-                raise ValueError("IndexResidue takes (modulus, residue)")
-            return IndexResidue(vals[0], vals[1])
-        if name == "ExplicitList":
-            return ExplicitList(tuple(self.args(self.int_arg)))
-        if name == "Complement":
-            self.expect("(")
-            inner = self.class_expr()
-            universe = []
-            while self.peek() == ",":
-                self.next()
-                universe.append(self.int_arg())
-            self.expect(")")
-            return Complement(inner, tuple(universe))
-        raise ValueError(f"unknown prime class {name!r}")
+def _term(node: ast.expr):
+    """The integer, inf (None), set or prime class a parsed node names."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    if isinstance(node, ast.Name) and node.id == "inf":
+        return None
+    name, args = node, []
+    if isinstance(node, ast.Call) and node.args and not node.keywords:
+        name, args = node.func, node.args
+    if not isinstance(name, ast.Name) or name.id not in _KINDS:
+        raise ValueError(f"not a term of the grammar: {ast.unparse(node)!r}")
+    build, shape = _KINDS[name.id]
+    values = [_term(arg) for arg in args]
+    got = "".join(map(_letter, values))
+    if not re.fullmatch(shape, got):
+        raise ValueError(
+            f"{name.id} takes arguments {shape or 'none'!r}, not {got!r} "
+            "(i integer, n inf, s set, c prime class)"
+        )
+    return build(*values)
 
 
 def parse_set(text: str) -> SetDescription:
-    p = _Parser(text)
-    d = p.set_expr()
-    if p.peek() is not None:
-        raise ValueError(f"trailing input after expression: {p.peek()!r}")
+    """Read one set expression of the config grammar.
+
+    The text is parsed by ast.parse, never compiled or evaluated.  Before
+    that, every word must be a kind, inf or a decimal integer, the only
+    other characters are parentheses, commas and blanks, and no call is
+    made on a call's result; so the only deep trees are nested
+    parentheses, which the parser refuses past 200 levels.
+    """
+    text = " ".join(text.split())
+    for m in re.finditer(r"\w+|\) ?\(|\S", text, re.ASCII):
+        token = m.group()
+        integer = token.isascii() and token.isdigit()
+        if not (integer or token in _KINDS or token in ("inf", "(", ")", ",")):
+            raise ValueError(f"bad token {token!r} near {text[m.start():][:40]!r}")
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"bad expression: {exc.msg}") from None
+    d = _term(tree.body)
+    if not isinstance(d, SetDescription):
+        raise ValueError(f"not a set expression: {text!r}")
     return d
 
 

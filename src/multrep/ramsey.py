@@ -389,8 +389,9 @@ def dump_coloring(coloring: Coloring) -> str:
 
 def load_coloring(text: str) -> Coloring:
     """Parse the text format: a ground line, a k line, then one
-    "elements : color" line per k-subset, in any order.  Totality is
-    validated.
+    "elements : color" line per k-subset, in any order.  A line whose
+    text before its last colon is "ground" or "k" is a header; any
+    other line with a colon is a row.  Totality is validated.
 
     Each row's elements are looked up as written among the subsets as
     dump_coloring writes them; a row written otherwise (other spacing,
@@ -402,19 +403,17 @@ def load_coloring(text: str) -> Coloring:
     k = None
     rows = []
     for raw in text.splitlines():
-        line = raw.partition("#")[0].strip()
-        if not line:
-            continue
-        if line.startswith("ground:"):
-            ground = [int(x) for x in line[len("ground:"):].split()]
-            continue
-        if line.startswith("k:"):
-            k = int(line[len("k:"):].strip())
-            continue
+        line = raw.partition("#")[0]
         left, colon, right = line.rpartition(":")
-        if not colon:
+        key = left.strip()
+        if key == "ground":
+            ground = [int(x) for x in right.split()]
+        elif key == "k":
+            k = int(right)
+        elif colon:
+            rows.append((key, right))
+        elif line and not line.isspace():
             raise ValueError(f"bad coloring line: {raw!r}")
-        rows.append((left.strip(), right.strip()))
     # rows are read once both headers are known, wherever they sit
     if ground is None or k is None:
         raise ValueError("coloring file needs 'ground:' and 'k:' lines")

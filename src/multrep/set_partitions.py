@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
-from .integer_sets import MultiplicativeSystem, SetDescription, is_prime
+from .integer_sets import MultiplicativeSystem, SetDescription, _sorted_primes
 from .squarefree_map import phi
 from .repcount import count_system_reps
 
@@ -62,9 +62,7 @@ class ImageOfSet(FamilyDescription):
     universe: frozenset[int]
 
     def __post_init__(self):
-        for p in sorted(self.universe):
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+        _sorted_primes(self.universe)
 
     def contains_block(self, block: frozenset[int]) -> bool:
         if not block <= self.universe:

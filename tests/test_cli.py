@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import shlex
 import time
@@ -12,7 +14,7 @@ from multrep import (
     mh_table,
     window_stats,
 )
-from multrep.cli import main, parse_system_spec
+from multrep.cli import build_parser, main, parse_system_spec
 
 from conftest import pentagon_coloring
 
@@ -292,3 +294,72 @@ def test_count_obeys_the_lattice_pair_cap(capsys):
     )
     assert code == 0
     assert "count: 1833075\n" in out
+
+
+def nested_spec(depth: int) -> str:
+    return "parts:" + "Union(" * depth + "Primes" + ")" * depth + ";AllNaturals"
+
+
+@pytest.mark.parametrize("depth", [201, 400])
+def test_a_spec_nested_too_deep_exits_2(capsys, depth):
+    code, out, err = run(capsys, "count", "--system", nested_spec(depth), "--n", "6")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad system spec")
+    assert "Traceback" not in err
+
+
+def test_a_spec_nested_200_levels_counts(capsys):
+    code, out, _ = run(capsys, "count", "--system", nested_spec(200), "--n", "6")
+    assert code == 0
+    assert "count: 2\n" in out
+
+
+PENTAGON = "tests/data/pentagon.txt"
+CSV_COMMANDS = {"count", "window", "catalog-verify", "mh-table", "partitions"}
+# one invocation per outcome of every subcommand
+OUTCOMES = [
+    ("count", "--system", "fundamental:h=2", "--n", "360"),
+    ("window", "--system", "one-t:h=2,t=3", "--lo", "2", "--hi", "64"),
+    ("catalog-verify", "--name", "one-t", "--h", "2", "--t", "2", "--max-n", "200"),
+    ("mh-table", "--h", "3"),
+    ("witness", "--system", "parts:AllNaturals;AllNaturals", "--target", "3",
+     "--max-n", "100"),
+    ("witness", "--system", "fundamental:h=2", "--target", "2", "--max-n", "50"),
+    ("ramsey", "--coloring", PENTAGON, "--m", "2"),
+    ("ramsey", "--coloring", PENTAGON, "--m", "3"),
+    ("partitions", "--q", "30", "--h", "3"),
+    ("correspond", "--system", "s-inf:h=2,s=2", "--q", "30"),
+]
+
+
+def test_outcomes_cover_every_subcommand():
+    usage = build_parser().format_usage()
+    commands = usage.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert sorted({argv[0] for argv in OUTCOMES}) == sorted(commands)
+
+
+@pytest.mark.parametrize(
+    "argv", OUTCOMES, ids=[f"{argv[0]}-{i}" for i, argv in enumerate(OUTCOMES)]
+)
+def test_every_format_parses(capsys, monkeypatch, argv):
+    monkeypatch.chdir(REPO)
+    formats = ["text", "json"] + (["csv"] if argv[0] in CSV_COMMANDS else [])
+    for fmt in formats:
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 0, f"{argv} --format {fmt} exited {code}: {err}"
+        assert out
+        if fmt == "json":
+            json.loads(out)
+        elif fmt == "csv":
+            header, *rows = csv.reader(io.StringIO(out))
+            assert rows
+            assert all(len(row) == len(header) for row in rows)
+
+
+def test_ramsey_json_when_no_subset_exists(capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    argv = ("ramsey", "--coloring", PENTAGON, "--m", "3")
+    assert json.loads(run(capsys, *argv, "--format", "json")[1]) == {
+        "subset": None, "color": None,
+    }
+    assert run(capsys, *argv) == (0, "none\n", "")
