@@ -31,7 +31,6 @@ from .integer_sets import (
 from .repcount import (
     RepWitness,
     WindowStats,
-    count_additive_reps,
     count_basis_reps,
     count_system_reps,
     scan_counts,

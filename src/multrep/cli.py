@@ -19,7 +19,7 @@ from .errors import (
     ResourceLimitError,
     SearchBudgetExceeded,
 )
-from .integer_sets import MultiplicativeSystem, parse_set, parse_system
+from .integer_sets import MultiplicativeSystem, _cut, parse_set, parse_system
 
 class ConfigError(ValueError):
     pass
@@ -51,8 +51,8 @@ def parse_system_spec(spec: str) -> MultiplicativeSystem:
                 name, kv.get("h", 2), t=kv.get("t"), s=kv.get("s")
             ).system
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"bad system spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"bad system spec {spec!r}")
+        raise ConfigError(f"bad system spec {_cut(spec)!r}: {exc}") from exc
+    raise ConfigError(f"bad system spec {_cut(spec)!r}")
 
 
 def _emit_record(record: dict, fmt: str) -> None:

@@ -249,9 +249,11 @@ def factorize(n: int) -> dict[int, int]:
 
 def _sorted_primes(values) -> tuple[int, ...]:
     """The distinct values, ascending; raises ValueError for one that is
-    not prime."""
+    not prime or is above 64-bit range."""
     ps = tuple(sorted(set(values)))
     for p in ps:
+        if p > MAX_INT:
+            raise ValueError(f"{_cut(str(p))} exceeds 64-bit range")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
     return ps
@@ -616,6 +618,12 @@ _KINDS = {
 }
 
 
+def _cut(text: str) -> str:
+    """The first 40 characters of text, marked when more were cut, so that
+    an error quotes a bounded part of a long input."""
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _letter(value) -> str:
     if value is None:
         return "n"
@@ -634,13 +642,13 @@ def _term(node: ast.expr):
     if isinstance(node, ast.Call) and node.args and not node.keywords:
         name, args = node.func, node.args
     if not isinstance(name, ast.Name) or name.id not in _KINDS:
-        raise ValueError(f"not a term of the grammar: {ast.unparse(node)!r}")
+        raise ValueError(f"not a term of the grammar: {_cut(ast.unparse(node))!r}")
     build, shape = _KINDS[name.id]
     values = [_term(arg) for arg in args]
     got = "".join(map(_letter, values))
     if not re.fullmatch(shape, got):
         raise ValueError(
-            f"{name.id} takes arguments {shape or 'none'!r}, not {got!r} "
+            f"{name.id} takes arguments {shape or 'none'!r}, not {_cut(got)!r} "
             "(i integer, n inf, s set, c prime class)"
         )
     return build(*values)
@@ -660,14 +668,15 @@ def parse_set(text: str) -> SetDescription:
         token = m.group()
         integer = token.isascii() and token.isdigit()
         if not (integer or token in _KINDS or token in ("inf", "(", ")", ",")):
-            raise ValueError(f"bad token {token!r} near {text[m.start():][:40]!r}")
+            near = _cut(text[m.start():])
+            raise ValueError(f"bad token {_cut(token)!r} near {near!r}")
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"bad expression: {exc.msg}") from None
     d = _term(tree.body)
     if not isinstance(d, SetDescription):
-        raise ValueError(f"not a set expression: {text!r}")
+        raise ValueError(f"not a set expression: {_cut(text)!r}")
     return d
 
 

@@ -1,36 +1,33 @@
-"""Ordered multiplicative (and additive) representation counting.
+"""Ordered multiplicative representation counting.
 
 g(n), the number of ordered tuples (b_1, ..., b_h) with b_i in part i
 and b_1 ... b_h = n, is the Dirichlet convolution of the parts'
 indicators evaluated at n.  count_system_reps factors n once and works
-on its divisor lattice, naming each divisor by its exponent vector.  It
-builds a table of suffix counts cnt_i(m), the number of representations
-of m | n by parts i..h-1, in one of two ways:
+on its divisor lattice, naming each divisor by its exponent vector, with
+one engine (_Lattice).  Its table of suffix counts cnt_i(m), the number
+of representations of m | n by parts i..h-1, factors over the prime
+powers of n for the trailing multiplicative parts (the tail; the whole
+system when every part is multiplicative, and then g(n) = prod c(p, e)
+with no table built).  Each part above the tail pairs its members,
+decided once per divisor of n, with the support of the level below.
 
-  prime chains  when every part is multiplicative, the table factors
-                over the prime powers p^e exactly dividing n, and
-                g(n) = prod c(p, e), where c(p, e) counts the compositions
-                e = a_1 + ... + a_h with p^(a_i) in part i;
-  lattice       otherwise, level by level from the last part, with each
-                part's membership decided once per divisor of n.
-
-Both hand the tuple walk the same tables, flags[i][x] (part i holds the
-divisor with index x) and cnt[i][x]; the prime chains spread theirs only
-when tuples are listed.  The walk is lexicographic and depth-first and
-enters a branch only when its suffix count is non-zero, so listing stops
-after tuple_cap tuples however large g(n) is.  Window scans, witness
-streams and catalog evidence read their counts from one generator
-(_counts).  Counts are exact Python integers; window scans return the
-min/max over a finite range, which is evidence about the tails, never a
-limit.
+The tuple walk reads one pair of tables, flags[i][x] (part i holds the
+divisor with index x) and cnt[i][x]; the tail's levels are spread from
+its per-prime rows only where they are read.  The walk is lexicographic and
+depth-first and enters a branch only when its suffix count is non-zero,
+so listing stops after tuple_cap tuples however large g(n) is.  Window
+scans, witness streams and catalog evidence read their counts from one
+generator (_counts).  Counts are exact Python integers; window scans
+return the min/max over a finite range, which is evidence about the
+tails, never a limit.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
+from math import prod
 
 from .errors import ResourceLimitError
 from .integer_sets import (
@@ -39,13 +36,15 @@ from .integer_sets import (
     SetDescription,
     basis_system,
     factorize,
+    # not called here, but perfbench/tracer.py wraps repcount.membership
+    # and stops with AttributeError if the name is missing
     membership,
 )
 
 DEFAULT_TUPLE_CAP = 64
 
 # the most (member, support) pairs the lattice may test at one n, summed
-# over its middle levels
+# over the levels above its multiplicative tail
 PAIR_CAP = 1 << 26
 
 
@@ -110,37 +109,69 @@ def _divisor_values(factors: dict[int, int]) -> list[int]:
 class _Lattice:
     """Suffix counts over the divisor lattice of n, for any system.
 
-    cnt[i][x] is the number of representations of the divisor with index
-    x by parts i..h-1, for 1 <= i < h.  cnt[h-1] is the last part's
-    membership; each level above pairs the members d of part i with the
-    support r of the level below, keeping the pairs where d * r divides n.
-    More than PAIR_CAP pairs in all raise ResourceLimitError before the
-    level that would pass it is paired.
-    Level 0 is needed at n alone, so part 0 is decided only at n // r for
-    the r in the support of level 1: flags[0] is False elsewhere.
+    tables() gives the tuple walk flags[i][x], whether part i holds the
+    divisor with index x (i < h - 1), and cnt[i][x], the number of
+    representations of that divisor by parts i..h-1 (1 <= i < h).
+
+    The tail is the run of multiplicative parts at the end, parts[t:].
+    Its counts factor over the prime powers p^e exactly dividing n.  For
+    one prime p, let F_j(x) be the sum of x^a over the a <= e with p^a in
+    part j.  The coefficient of x^a in F_i ... F_{h-1} counts the
+    compositions a = a_i + ... + a_{h-1} with p^{a_j} in part j, and the
+    suffix count of prod p^{a_p} by parts i..h-1 is the product of these
+    coefficients over the primes.  The polynomials are evaluated at
+    x = 2^width (Kronecker substitution), so that one integer product
+    computes all coefficients: none exceeds (e+1)^h, which fits a digit.
+    The tail's levels are spread from these per-prime rows (a product of
+    0/1 flags is their AND) only where read: its top level when a part
+    above it is paired or decided, the rest by tables() for the tuple
+    walk.  When the tail is the whole system, n is counted from its
+    digits, so a count alone builds no table.
+
+    Above the tail, each level pairs the members d of part i with the
+    support r of the level below, keeping the pairs where d * r divides
+    n; below the lowest of them is the tail's top level, or the last
+    part's membership when the tail is empty.  More than PAIR_CAP pairs
+    in all raise ResourceLimitError before the level that would pass it
+    is paired.  Level 0 is needed at n alone, so part 0 is decided only
+    at n // r for the r in the support of level 1: flags[0] is False
+    elsewhere.
     """
 
     def __init__(self, parts, factors: dict[int, int]):
-        values = _divisor_values(factors)
+        self.h = h = len(parts)
+        t = h
+        while t and parts[t - 1].multiplicative:
+            t -= 1
+        self.t, self.factors = t, factors
+        # per prime: (e, the tail's memberships of p^0..p^e, width, suffixes)
+        self.chains = [
+            (e, *_prime_chain(parts[t:], p, e)) for p, e in factors.items()
+        ] if t < h else []
+        if t == 0:
+            self.count = prod(_digit(s[0], e, w) for e, _, w, s in self.chains)
+            self._flags, self._cnt, self._values = [], [None], None
+            return
+
+        self._values = values = _divisor_values(factors)
         facts = [{}]  # the factorization of each divisor
         for p, e in factors.items():
             facts = [{**f, p: a} if a else f for a in range(e + 1) for f in facts]
         top = len(values) - 1  # the index of n
-
         known = {}
-        for part in parts[1:]:
+        for part in parts[1:t]:
             if id(part) not in known:
                 known[id(part)] = [
                     part.contains_factored(v, f) for v, f in zip(values, facts)
                 ]
-        h = len(parts)
-        self.flags = [None] + [known[id(part)] for part in parts[1:]]
-        self.cnt = [None] * h
-        self.cnt[h - 1] = below = self.flags[h - 1]
+        self._flags = [None] + [known[id(part)] for part in parts[1:t]]
+        low = min(t, h - 1)  # the lowest level that is not paired
+        self._cnt = [None] * (low + 1)
+        self._cnt[low] = below = self._tail_cnt(t) if t < h else self._flags[h - 1]
         pairs = 0
-        for i in range(h - 2, 0, -1):
+        for i in range(low - 1, 0, -1):
             support = [(r, c) for r, c in enumerate(below) if c]
-            members = [d for d, ok in enumerate(self.flags[i]) if ok]
+            members = [d for d, ok in enumerate(self._flags[i]) if ok]
             pairs += len(members) * len(support)
             if pairs > PAIR_CAP:
                 raise ResourceLimitError(
@@ -153,56 +184,29 @@ class _Lattice:
                 for r, c in support:
                     if rest % values[r] == 0:
                         row[d + r] += c
-            self.cnt[i] = below = row
+            self._cnt[i] = below = row
         support = [(r, c) for r, c in enumerate(below) if c]
         first = parts[0]
-        self.flags[0] = decided = [False] * len(values)
+        self._flags[0] = decided = [False] * len(values)
         for r, _ in support:
             decided[top - r] = first.contains_factored(values[top - r], facts[top - r])
         self.count = sum(c for r, c in support if decided[top - r])
 
+    def _tail_cnt(self, i: int) -> list:
+        return _spread(
+            [_digit(suffixes[i - self.t], a, width) for a in range(e + 1)]
+            for e, _, width, suffixes in self.chains
+        )
 
-class _PrimeChains:
-    """Suffix counts of a system whose parts are all multiplicative.
-
-    Such a count factors over the prime powers p^e exactly dividing n.
-    For one prime p, let F_j(x) be the sum of x^a over the a <= e with
-    p^a in part j.  The coefficient of x^a in F_i ... F_{h-1} counts the
-    compositions a = a_i + ... + a_{h-1} with p^{a_j} in part j, and the
-    suffix count of prod p^{a_p} by parts i..h-1 is the product of these
-    coefficients over the primes.  The polynomials are evaluated at
-    x = 2^width (Kronecker substitution), so that one integer product
-    computes all coefficients: none exceeds (e+1)^h, which fits a digit.
-
-    flags and cnt are _Lattice's tables at the levels the tuple walk
-    reads, spread from the per-prime rows when first read (a product of
-    0/1 flags is their AND), so a count alone builds neither.
-    """
-
-    def __init__(self, parts, factors: dict[int, int]):
-        self.h = len(parts)
-        self.allowed = []  # per prime, per part: membership of p^0..p^e
-        self.chains = []  # per prime: (e, width, suffix products for levels 0..h)
-        self.count = 1
-        for p, e in factors.items():
-            allowed, width, suffixes = _prime_chain(parts, p, e)
-            self.allowed.append(allowed)
-            self.chains.append((e, width, suffixes))
-            self.count *= _digit(suffixes[0], e, width)
-
-    @cached_property
-    def flags(self) -> list:
-        return [_spread(rows[i] for rows in self.allowed) for i in range(self.h - 1)]
-
-    @cached_property
-    def cnt(self) -> list:
-        return [None] + [
-            _spread(
-                [_digit(suffixes[i], a, width) for a in range(e + 1)]
-                for e, width, suffixes in self.chains
-            )
-            for i in range(1, self.h)
+    def tables(self) -> tuple[list, list, list[int]]:
+        """flags, cnt and the divisor values in index order, with the
+        tail's levels spread from the per-prime rows."""
+        flags = self._flags + [
+            _spread(allowed[i - self.t] for _, allowed, _, _ in self.chains)
+            for i in range(len(self._flags), self.h - 1)
         ]
+        cnt = self._cnt + [self._tail_cnt(i) for i in range(len(self._cnt), self.h)]
+        return flags, cnt, self._values or _divisor_values(self.factors)
 
 
 def _prime_chain(parts, p: int, e: int):
@@ -226,14 +230,13 @@ def _digit(packed: int, a: int, width: int) -> int:
     return (packed >> (a * width)) & ((1 << width) - 1)
 
 
-def _lex_tuples(table, n: int, h: int, factors: dict[int, int], cap: int):
+def _lex_tuples(table: _Lattice, cap: int):
     """The first cap tuples in lexicographic order: a depth-first walk
     over divisors in ascending order that enters a branch only when its
     suffix count is non-zero, so every branch entered yields a tuple.
     The suffix count is read before membership, which a table therefore
     need decide only where the suffix count is non-zero."""
-    flags, cnt = table.flags, table.cnt
-    values = _divisor_values(factors)
+    (flags, cnt, values), h = table.tables(), table.h
     ordered = sorted(zip(values, range(len(values))))
     found: list[tuple[int, ...]] = []
 
@@ -249,7 +252,7 @@ def _lex_tuples(table, n: int, h: int, factors: dict[int, int], cap: int):
                 if len(found) == cap:
                     return
 
-    walk(0, n, len(values) - 1, ())
+    walk(0, values[-1], len(values) - 1, ())
     return tuple(found)
 
 
@@ -259,17 +262,16 @@ def count_system_reps(
     """Exact number of ordered tuples (b_1,...,b_h) with b_i in parts[i]
     and product n, plus the first tuple_cap of them in lexicographic
     order.  factorize decides the range of n: ValueError for n < 1,
-    FactorizationLimitError above 64-bit range.  A system with a part
-    that is not multiplicative is counted on the divisor lattice, whose
-    middle levels pair members with supports; ResourceLimitError if that
-    takes more than PAIR_CAP (2^26) pairs, as a dense three-part system
-    at the 15-prime primorial does."""
-    factors = factorize(n)
-    engine = _PrimeChains if system.multiplicative else _Lattice
-    table = engine(system.parts, factors)
+    FactorizationLimitError above 64-bit range.  The trailing
+    multiplicative parts are counted per prime; each level above them
+    pairs members with supports on the divisor lattice, and
+    ResourceLimitError is raised if that takes more than PAIR_CAP (2^26)
+    pairs, as Union(Squarefree,Primes) twice before AllNaturals at the
+    15-prime primorial does."""
+    table = _Lattice(system.parts, factorize(n))
     tuples = ()
     if tuple_cap > 0 and table.count:
-        tuples = _lex_tuples(table, n, system.h, factors, tuple_cap)
+        tuples = _lex_tuples(table, tuple_cap)
     return RepWitness(n, table.count, tuples, truncated=table.count > len(tuples))
 
 
@@ -280,28 +282,6 @@ def count_basis_reps(
     return count_system_reps(basis_system(b, h), n, tuple_cap)
 
 
-def count_additive_reps(a: SetDescription, h: int, n: int) -> int:
-    """Number of ordered h-tuples in a^h summing to n (n >= 0)."""
-    if h < 2:
-        raise ValueError("h must be >= 2")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    elems = [v for v in range(0, n + 1) if membership(a, v)]
-    ways = [0] * (n + 1)
-    for v in elems:
-        ways[v] = 1
-    for _ in range(h - 1):
-        nxt = [0] * (n + 1)
-        for s, w in enumerate(ways):
-            if w:
-                for v in elems:
-                    if s + v > n:
-                        break
-                    nxt[s + v] += w
-        ways = nxt
-    return ways[n]
-
-
 def _counts(system: MultiplicativeSystem, ns):
     """Yield (n, g(n)) for each n of the iterable ns, in order.
 
@@ -309,7 +289,7 @@ def _counts(system: MultiplicativeSystem, ns):
     Dirichlet convolution F * G.  F(m) counts the tuples of the parts
     that are not multiplicative with product m; G(k) = prod c(p, e) over
     the p^e exactly dividing k counts those of the multiplicative parts,
-    as the prime chains do.  The input decides the path.  If every part
+    as the tail of _Lattice is.  The input decides the path.  If every part
     is multiplicative, g = G at each n, with c(p, e) kept for the call
     (for p below SIEVE_LIMIT, so the table is bounded).  If ns is a
     range of step 1 ending at or below SIEVE_LIMIT, F is convolved from

@@ -275,9 +275,10 @@ def test_byte_identical_output(capsys):
 
 def test_count_obeys_the_lattice_pair_cap(capsys):
     n = 614889782588491410  # the product of the first 15 primes
+    dense = "Union(Squarefree,Primes)"
     start = time.perf_counter()
     code, out, err = run(
-        capsys, "count", "--system", "parts:Primes;AllNaturals;AllNaturals",
+        capsys, "count", "--system", f"parts:{dense};{dense};AllNaturals",
         "--n", str(n),
     )
     assert time.perf_counter() - start < 5.0
@@ -312,6 +313,46 @@ def test_a_spec_nested_200_levels_counts(capsys):
     code, out, _ = run(capsys, "count", "--system", nested_spec(200), "--n", "6")
     assert code == 0
     assert "count: 2\n" in out
+
+
+HUGE = "99999999999999999999"  # above 2^63 - 1
+
+
+def test_a_prime_class_element_above_64_bits_is_a_bad_spec(capsys):
+    spec = f"parts:SmoothOver(ExplicitList({HUGE}));AllNaturals"
+    for argv in (
+        ("count", "--system", spec, "--n", "6"),
+        ("correspond", "--system", spec, "--q", "6", "--universe", "2,3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad system spec")
+        assert f"{HUGE} exceeds 64-bit range" in err
+        assert "Traceback" not in err
+
+
+def test_a_universe_element_above_64_bits_exits_2(capsys):
+    code, out, err = run(
+        capsys, "correspond", "--system", "parts:AllNaturals;AllNaturals",
+        "--q", "6", "--universe", f"2,3,{HUGE}",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {HUGE} exceeds 64-bit range\n"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "parts:Primes" + "()" * 10**4,
+        "parts:ExplicitList(" + "2," * 10**4 + "Primes);AllNaturals",
+    ],
+    ids=["call-chain", "long-argument-list"],
+)
+def test_a_long_bad_spec_is_quoted_in_part(capsys, spec):
+    code, out, err = run(capsys, "count", "--system", spec, "--n", "6")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad system spec")
+    assert len(err.encode()) < 1024
 
 
 PENTAGON = "tests/data/pentagon.txt"

@@ -4,6 +4,7 @@ import time
 import tracemalloc
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,6 @@ from multrep import (
     Union,
     basis_system,
     build,
-    count_additive_reps,
     count_basis_reps,
     count_system_reps,
     enumerate_up_to,
@@ -155,28 +155,6 @@ def test_window_stats_record_field_names():
     ]
 
 
-def test_additive_reps():
-    n0 = Union((AllNaturals(), Singleton((0,))))
-    assert count_additive_reps(n0, 2, 3) == 4  # (0,3),(1,2),(2,1),(3,0)
-    evens = Singleton((2, 4))
-    assert count_additive_reps(evens, 2, 5) == 0  # parity
-    assert count_additive_reps(n0, 3, 0) == 1  # all-zero tuple
-
-
-def test_additive_reps_brute_force():
-    a = Singleton((0, 1, 3, 4))
-    elems = [0, 1, 3, 4]
-    for n in range(0, 15):
-        brute = sum(
-            1
-            for x in elems
-            for y in elems
-            for z in elems
-            if x + y + z == n
-        )
-        assert count_additive_reps(a, 3, n) == brute
-
-
 def test_input_validation():
     system = build("fundamental", 2).system
     with pytest.raises(ValueError):
@@ -297,18 +275,43 @@ def test_listing_is_lexicographic_prefix(system, n, cap):
         basis_system(AllNaturals(), 3),
         MultiplicativeSystem((Squarefree(), AllNaturals(), Squarefree())),
         MultiplicativeSystem((Squarefree(), Squarefree())),
+        # a head that is not multiplicative above a multiplicative tail
+        MultiplicativeSystem((Primes(), AllNaturals(), AllNaturals())),
+        MultiplicativeSystem((PrimesWithOne(), Squarefree(), AllNaturals())),
+        MultiplicativeSystem(
+            (
+                Union((PowersOf(3, 0, 2), Primes())),
+                PrimesWithOne(),
+                Singleton((1, 2, 4)),
+            )
+        ),
+        build("s-inf", 3, s=2).system,
     ],
 )
 def test_prime_chains_and_lattice_agree_at_large_divisor_counts(system):
     # a Union of one part is the same set but not marked multiplicative,
-    # so the wrapped system is counted and walked on the lattice
+    # so the wrapped system is counted and walked on the lattice alone
     wrapped = MultiplicativeSystem(tuple(Union((part,)) for part in system.parts))
-    assert system.multiplicative and not wrapped.multiplicative
+    assert system.parts[-1].multiplicative
+    assert not any(part.multiplicative for part in wrapped.parts)
     for n in (1, 720720, 3603600, 2**10 * 3**5):
         for cap in (0, 5, 64):
             assert count_system_reps(system, n, cap) == count_system_reps(
                 wrapped, n, cap
             )
+
+
+@pytest.mark.parametrize("n", [97821761637600, primorials()[-1]])
+def test_a_prime_times_two_naturals_counts_divisors_of_the_cofactors(n):
+    # (p, a, b) with a * b = n / p: one tuple per divisor of each n / p;
+    # pairing every level would refuse the 15-prime primorial at PAIR_CAP
+    system = MultiplicativeSystem((Primes(), AllNaturals(), AllNaturals()))
+    expected = sum(sympy.divisor_count(n // p) for p in sympy.primefactors(n))
+    start = time.perf_counter()
+    w = count_system_reps(system, n, tuple_cap=3)
+    assert time.perf_counter() - start < 2.0
+    assert w.count == expected
+    assert w.tuples[0] == (2, 1, n // 2) and w.truncated
 
 
 def test_primorial_under_naturals_cubed():
