@@ -2,7 +2,8 @@
 
 Every subcommand is a thin wrapper over one library call; diagnostics go
 to stderr, data to stdout.  Exit codes: 0 success, 1 verification
-failure, 2 usage or configuration error.
+failure, 2 usage or configuration error, 141 (128 + SIGPIPE) when the
+reader of stdout closed it early.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import catalog, ramsey, repcount, set_partitions, squarefree_map, witness_search
@@ -269,7 +271,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush
+        # at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import ResourceLimitError
 from .integer_sets import MultiplicativeSystem, SetDescription, _sorted_primes
@@ -26,6 +27,12 @@ class FamilyDescription:
 
     def contains_block(self, block: frozenset[int]) -> bool:
         raise NotImplementedError
+
+    def _block_flags(self, elems) -> list[bool]:
+        """contains_block of every subset of elems, indexed by mask: bit i
+        picks elems[i]."""
+        block = _block_of(elems)
+        return [self.contains_block(block(a)) for a in range(1 << len(elems))]
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,28 @@ class ImageOfSet(FamilyDescription):
         # a block of distinct primes is its own factorization
         return self.base.contains_factored(prod, dict.fromkeys(block, 1))
 
+    def _block_flags(self, elems) -> list[bool]:
+        base, universe = self.base, self.universe
+        if base.multiplicative:
+            # the base holds 1, and a product of distinct primes exactly
+            # when it holds each of them
+            ok = [True]
+            for p in elems:
+                if p in universe and base.contains_factored(p, {p: 1}):
+                    ok += ok
+                else:
+                    ok += [False] * len(ok)
+            return ok
+        outside = sum(1 << i for i, p in enumerate(elems) if p not in universe)
+        half = len(elems) // 2
+        # the pairs (upper, lower) come in mask order: a = upper << half | lower
+        blocks = product(_factored(elems[half:]), _factored(elems[:half]))
+        contains = base.contains_factored
+        return [
+            not a & outside and contains(lp * hp, lf | hf)
+            for a, ((hp, hf), (lp, lf)) in enumerate(blocks)
+        ]
+
 
 def image_family(base: SetDescription, universe) -> ImageOfSet:
     """Raises ValueError when the universe holds a number that is not prime."""
@@ -87,15 +116,23 @@ def _subsets(elems) -> list[frozenset]:
     return out
 
 
-def _blocks(elems):
-    """The subsets of elems in mask order, each the union of a subset of
-    the lower and one of the upper half, so that only the 2^(n/2) subsets
-    of each half are held at once."""
+def _factored(primes) -> list[tuple[int, dict[int, int]]]:
+    """The product and factorization of each subset of the distinct
+    primes, indexed by mask."""
+    out = [(1, {})]
+    for p in primes:
+        out += [(m * p, f | {p: 1}) for m, f in out]
+    return out
+
+
+def _block_of(elems):
+    """The function from a mask to the subset of elems it picks.  A block
+    is the union of a subset of the lower and one of the upper half, so
+    that only the 2^(n/2) subsets of each half are held."""
     half = len(elems) // 2
-    low = _subsets(elems[:half])
-    for upper in _subsets(elems[half:]):
-        for lower in low:
-            yield lower | upper
+    low, high = _subsets(elems[:half]), _subsets(elems[half:])
+    low_mask = len(low) - 1
+    return lambda a: low[a & low_mask] | high[a >> half]
 
 
 def count_ordered_covers(s, families) -> int:
@@ -103,12 +140,15 @@ def count_ordered_covers(s, families) -> int:
 
     A fold over bitmasks, bit i standing for the i-th smallest element of
     s, from the last family up: ways[r] counts the covers of the mask r
-    by the families folded so far.  Each family decides each block once;
-    a block a it accepts adds ways[r] to the next level at r | a for every
-    submask r of the complement of a.  The first family is needed only at
-    the full mask.  That is O(h * 3^|s|) additions, and 2^|s| decisions
-    per family, so h = 2 costs O(2^|s|).  ResourceLimitError when |s|
-    exceeds SIZE_CAP_H2 (h = 2) or SIZE_CAP_DEFAULT (h > 2).
+    by the families folded so far.  The last and each middle family
+    decide every subset of s at once, one flag per mask (an image family
+    of a multiplicative base decides each element once); a block a it
+    accepts adds ways[r] to the next level at r | a for every submask r
+    of the complement of a.  The first family decides a block a only
+    where ways[full ^ a] is not zero.  That is O(h * 3^|s|) additions,
+    and 2^|s| decisions per family, so h = 2 costs O(2^|s|).
+    ResourceLimitError when |s| exceeds SIZE_CAP_H2 (h = 2) or
+    SIZE_CAP_DEFAULT (h > 2).
     """
     fams = tuple(families)
     if len(fams) < 2:
@@ -121,11 +161,11 @@ def count_ordered_covers(s, families) -> int:
         )
     full = (1 << len(elems)) - 1
     first, *middle, last = fams
-    ways = list(map(last.contains_block, _blocks(elems)))
+    ways = last._block_flags(elems)
     for fam in reversed(middle):
         folded = [0] * (full + 1)
-        for a, block in enumerate(_blocks(elems)):
-            if fam.contains_block(block):
+        for a, ok in enumerate(fam._block_flags(elems)):
+            if ok:
                 rest = r = full ^ a
                 while True:
                     folded[r | a] += ways[r]
@@ -133,10 +173,12 @@ def count_ordered_covers(s, families) -> int:
                         break
                     r = (r - 1) & rest
         ways = folded
+    block = _block_of(elems)
+    # reversed(ways)[a] is ways[full ^ a]
     return sum(
-        ways[full ^ a]
-        for a, block in enumerate(_blocks(elems))
-        if first.contains_block(block)
+        w
+        for a, w in enumerate(reversed(ways))
+        if w and first.contains_block(block(a))
     )
 
 

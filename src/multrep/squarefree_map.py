@@ -71,6 +71,24 @@ def phi_inverse(s: PrimeSet) -> int:
     return prod
 
 
+def _subsets(s: PrimeSet) -> list[PrimeSet]:
+    """Every subset of the checked prime set s, indexed by mask: bit i
+    picks the i-th smallest prime.  A subset of a checked set is prime,
+    increasing and within 64 bits, so it is built without a second check."""
+    if type(s) is not PrimeSet:
+        raise TypeError("_subsets takes a PrimeSet")
+    subsets = [()]
+    for p in s.primes:
+        subsets += [b + (p,) for b in subsets]
+    new, setattr_ = object.__new__, object.__setattr__
+    out = []
+    for b in subsets:
+        block = new(PrimeSet)
+        setattr_(block, "primes", b)
+        out.append(block)
+    return out
+
+
 def factorizations_as_partitions(
     q: int, h: int, cap: int = DEFAULT_PARTITION_CAP
 ) -> list[tuple[PrimeSet, ...]]:
@@ -79,26 +97,27 @@ def factorizations_as_partitions(
     Emitted in lexicographic order of the slot-assignment word, primes
     taken in increasing order.  Applying the product map coordinate-wise
     gives exactly the ordered factorizations of q into coprime
-    squarefree factors.  The tuples share the 2^omega(q) blocks, each
-    built once and indexed by mask: bit i picks the i-th smallest prime.
+    squarefree factors.  The tuples share the 2^omega(q) blocks, the
+    subsets of phi(q), each built once and indexed by mask: bit i picks
+    the i-th smallest prime.
     """
     if h < 2:
         raise ValueError("h must be >= 2")
-    ps = phi(q).primes
-    total = h ** len(ps)
+    s = phi(q)
+    total = h ** len(s)
     if total > cap:
         raise ResourceLimitError(
             f"{total} partitions exceed the output cap {cap}"
         )
-    blocks = [PrimeSet(())]
-    for p in ps:
-        blocks += [PrimeSet(b.primes + (p,)) for b in blocks]
-    # every assignment of the primes from the i-th on to the slots, as
-    # one mask per slot, in lexicographic order of the word
-    words = [(0,) * h]
-    for i in reversed(range(len(ps))):
+    # one column of masks per slot, row t holding the t-th word; putting
+    # prime i in front of the words repeats each column h times, with
+    # bit i set in slot j's column in the j-th copy
+    cols = [[0]] * h
+    for i in reversed(range(len(s))):
         bit = 1 << i
-        words = [
-            w[:j] + (w[j] | bit,) + w[j + 1:] for j in range(h) for w in words
+        cols = [
+            col * j + [m | bit for m in col] + col * (h - 1 - j)
+            for j, col in enumerate(cols)
         ]
-    return [tuple(blocks[m] for m in w) for w in words]
+    pick = _subsets(s).__getitem__
+    return list(zip(*(map(pick, col) for col in cols)))

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -404,3 +407,34 @@ def test_ramsey_json_when_no_subset_exists(capsys, monkeypatch):
         "subset": None, "color": None,
     }
     assert run(capsys, *argv) == (0, "none\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partitions", "--q", "6469693230", "--h", "3", "--format", "csv"],
+        ["window", "--system", "s-inf:h=3,s=2", "--lo", "2", "--hi", "30000",
+         "--format", "csv"],
+    ],
+    ids=["partitions", "window"],
+)
+def test_a_reader_that_closes_early_gets_exit_141_and_no_traceback(argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "multrep.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    assert first in (b"blocks\n", b"n,count\n")
+    assert b"Traceback" not in err, err.decode()
+    assert code == 141

@@ -8,8 +8,16 @@ from hypothesis import strategies as st
 
 from multrep import (
     AllNaturals,
+    ExplicitList,
+    IndexResidue,
+    Intersection,
+    Primes,
     PrimesWithOne,
     ResourceLimitError,
+    Singleton,
+    SmoothOver,
+    Squarefree,
+    Union,
     basis_system,
     build,
     by_cardinality,
@@ -20,6 +28,7 @@ from multrep import (
     phi,
     verify_correspondence,
 )
+from multrep.set_partitions import FamilyDescription
 
 from conftest import oracle_count_covers, sieve_squarefree
 
@@ -82,6 +91,91 @@ def test_cover_count_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_cover_count_memory_is_bounded_for_image_families():
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+    fams = [image_family(AllNaturals(), primes), image_family(PrimesWithOne(), primes)]
+    tracemalloc.start()
+    try:
+        assert count_ordered_covers(primes, fams) == 19
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+IMAGE_BASES = [
+    *build("fundamental", 3).system.parts,
+    SmoothOver(ExplicitList((3, 7, 11, 23))),
+    Squarefree(),
+    AllNaturals(),
+    Intersection((Squarefree(), SmoothOver(IndexResidue(2, 0)))),
+    PrimesWithOne(),
+    Primes(),
+    Union((Primes(), Singleton((1, 6, 35, 2 * 3 * 5 * 7)))),
+    Intersection((Squarefree(), PrimesWithOne())),
+]
+
+
+def mask_decisions(fam, elems):
+    """contains_block of the subset each mask picks, built bit by bit."""
+    return [
+        fam.contains_block(frozenset(e for i, e in enumerate(elems) if a >> i & 1))
+        for a in range(1 << len(elems))
+    ]
+
+
+def test_block_flags_equal_contains_block_per_mask():
+    rng = random.Random(14)
+    for base in IMAGE_BASES:
+        for _ in range(12):
+            elems = tuple(sorted(rng.sample(PRIMES + (4, 9), rng.randrange(0, 9))))
+            universe = rng.sample(PRIMES, rng.randrange(0, len(PRIMES) + 1))
+            fam = image_family(base, universe)
+            assert fam._block_flags(elems) == mask_decisions(fam, elems), (
+                base, elems, universe,
+            )
+    assert image_family(AllNaturals(), [])._block_flags(()) == [True]
+    assert image_family(Primes(), [2])._block_flags(()) == [False]
+    for fam in (by_cardinality({0, 2}), explicit_family([(2,), (3, 5), ()])):
+        for k in range(5):
+            elems = PRIMES[:k]
+            assert fam._block_flags(elems) == mask_decisions(fam, elems)
+
+
+class AskedBlocks(FamilyDescription):
+    """A family that records every block it is asked about."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.asked = []
+
+    def contains_block(self, block):
+        self.asked.append(block)
+        return self.inner.contains_block(block)
+
+
+def test_first_family_is_asked_only_where_the_rest_cover_the_complement():
+    s = frozenset(PRIMES[:8])
+    first = AskedBlocks(image_family(AllNaturals(), s))
+    assert count_ordered_covers(s, [first, image_family(PrimesWithOne(), s)]) == 9
+    # the rest covers only the empty set and the singletons
+    assert len(first.asked) == 9
+    assert set(first.asked) == {s} | {s - {p} for p in s}
+    first = AskedBlocks(image_family(Primes(), s))
+    middle = image_family(Singleton((1, 2, 3)), s)
+    last = image_family(PrimesWithOne(), s)
+    count = count_ordered_covers(s, [first, middle, last])
+    assert count == oracle_count_covers(s, [first.inner, middle, last])
+    # the blocks the middle and last families can cover together
+    middles = [frozenset(), frozenset({2}), frozenset({3})]
+    lasts = [frozenset()] + [frozenset({p}) for p in s]
+    covered = {m | b for m in middles for b in lasts if not m & b}
+    assert len(first.asked) == len(set(first.asked)) == 22
+    assert set(first.asked) == {s - r for r in covered}
 
 
 def test_image_family_rejects_a_universe_that_is_not_prime():

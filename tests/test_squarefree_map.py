@@ -16,6 +16,9 @@ from multrep import (
     prime_set,
 )
 
+from multrep import squarefree_map
+from multrep.integer_sets import is_prime
+
 from conftest import oracle_partitions, sieve_squarefree
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
@@ -60,6 +63,23 @@ def test_partition_blocks_equal_checked_prime_sets():
         assert blocks == tuple(PrimeSet(b.primes) for b in blocks)
     with pytest.raises(ValueError):
         PrimeSet((4,))
+
+
+def test_partition_blocks_are_not_checked_again(monkeypatch):
+    calls = []
+
+    def counted_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(squarefree_map, "is_prime", counted_is_prime)
+    q = prod(SMALL_PRIMES[:10])
+    parts = factorizations_as_partitions(q, 2)
+    assert len(parts) == 2**10
+    # phi(q) checks each of its 10 primes once; its subsets are not checked
+    assert sorted(calls) == SMALL_PRIMES[:10]
+    with pytest.raises(TypeError):
+        squarefree_map._subsets((2, 3))
 
 
 def test_partitions_q6_h2():
