@@ -360,7 +360,8 @@ class AllNaturals(SetDescription):
 
 @dataclass(frozen=True)
 class Singleton(SetDescription):
-    """An explicit finite list of integers (0 allowed, for additive use)."""
+    """An explicit finite list of integers >= 0.  0 may be listed, since
+    membership is total on n >= 0, but it never divides an n >= 1."""
 
     values: tuple[int, ...]
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import ResourceLimitError
 from .integer_sets import MultiplicativeSystem, SetDescription, _sorted_primes
@@ -28,11 +27,16 @@ class FamilyDescription:
     def contains_block(self, block: frozenset[int]) -> bool:
         raise NotImplementedError
 
-    def _block_flags(self, elems) -> list[bool]:
-        """contains_block of every subset of elems, indexed by mask: bit i
-        picks elems[i]."""
-        block = _block_of(elems)
-        return [self.contains_block(block(a)) for a in range(1 << len(elems))]
+    def _block_flags(self, elems, masks) -> list[bool]:
+        """contains_block of the subset of elems each mask picks, one flag
+        per mask in the order that the iterable masks, read once, lists
+        them: bit i picks elems[i]."""
+        return [
+            self.contains_block(
+                frozenset(e for i, e in enumerate(elems) if a >> i & 1)
+            )
+            for a in masks
+        ]
 
 
 @dataclass(frozen=True)
@@ -41,6 +45,11 @@ class Explicit(FamilyDescription):
 
     def contains_block(self, block: frozenset[int]) -> bool:
         return block in self.blocks
+
+    def _block_flags(self, elems, masks) -> list[bool]:
+        bit = {e: 1 << i for i, e in enumerate(elems)}
+        listed = {sum(map(bit.get, b)) for b in self.blocks if b.issubset(bit)}
+        return [a in listed for a in masks]
 
 
 def explicit_family(blocks) -> Explicit:
@@ -55,6 +64,10 @@ class ByCardinality(FamilyDescription):
 
     def contains_block(self, block: frozenset[int]) -> bool:
         return len(block) in self.sizes
+
+    def _block_flags(self, elems, masks) -> list[bool]:
+        sizes = self.sizes
+        return [a.bit_count() in sizes for a in masks]
 
 
 def by_cardinality(sizes) -> ByCardinality:
@@ -74,46 +87,41 @@ class ImageOfSet(FamilyDescription):
     def contains_block(self, block: frozenset[int]) -> bool:
         if not block <= self.universe:
             return False
-        prod = 1
-        for p in block:
-            prod *= p
-        # a block of distinct primes is its own factorization
-        return self.base.contains_factored(prod, dict.fromkeys(block, 1))
+        # a block of distinct primes is its own factorization, read in
+        # increasing order as the system side reads it
+        primes = sorted(block)
+        prod = math.prod(primes)
+        return self.base.contains_factored(prod, dict.fromkeys(primes, 1))
 
-    def _block_flags(self, elems) -> list[bool]:
+    def _block_flags(self, elems, masks) -> list[bool]:
         base, universe = self.base, self.universe
         if base.multiplicative:
             # the base holds 1, and a product of distinct primes exactly
             # when it holds each of them
-            ok = [True]
-            for p in elems:
-                if p in universe and base.contains_factored(p, {p: 1}):
-                    ok += ok
-                else:
-                    ok += [False] * len(ok)
-            return ok
+            bad = sum(
+                1 << i
+                for i, p in enumerate(elems)
+                if p not in universe or not base.contains_factored(p, {p: 1})
+            )
+            return [not a & bad for a in masks]
         outside = sum(1 << i for i, p in enumerate(elems) if p not in universe)
+        # a block is the union of a subset of the lower and one of the
+        # upper half, so that only the 2^(n/2) subsets of each are held
         half = len(elems) // 2
-        # the pairs (upper, lower) come in mask order: a = upper << half | lower
-        blocks = product(_factored(elems[half:]), _factored(elems[:half]))
+        low, high = _factored(elems[:half]), _factored(elems[half:])
+        low_mask = len(low) - 1
         contains = base.contains_factored
-        return [
-            not a & outside and contains(lp * hp, lf | hf)
-            for a, ((hp, hf), (lp, lf)) in enumerate(blocks)
-        ]
+
+        def holds(a):
+            (lp, lf), (hp, hf) = low[a & low_mask], high[a >> half]
+            return contains(lp * hp, lf | hf)
+
+        return [not a & outside and holds(a) for a in masks]
 
 
 def image_family(base: SetDescription, universe) -> ImageOfSet:
     """Raises ValueError when the universe holds a number that is not prime."""
     return ImageOfSet(base, frozenset(universe))
-
-
-def _subsets(elems) -> list[frozenset]:
-    """The subsets of elems indexed by mask: bit i picks elems[i]."""
-    out = [frozenset()]
-    for e in elems:
-        out += [b | {e} for b in out]
-    return out
 
 
 def _factored(primes) -> list[tuple[int, dict[int, int]]]:
@@ -125,29 +133,21 @@ def _factored(primes) -> list[tuple[int, dict[int, int]]]:
     return out
 
 
-def _block_of(elems):
-    """The function from a mask to the subset of elems it picks.  A block
-    is the union of a subset of the lower and one of the upper half, so
-    that only the 2^(n/2) subsets of each half are held."""
-    half = len(elems) // 2
-    low, high = _subsets(elems[:half]), _subsets(elems[half:])
-    low_mask = len(low) - 1
-    return lambda a: low[a & low_mask] | high[a >> half]
-
-
 def count_ordered_covers(s, families) -> int:
     """Exact count of ordered disjoint covers of s by family blocks.
 
     A fold over bitmasks, bit i standing for the i-th smallest element of
     s, from the last family up: ways[r] counts the covers of the mask r
-    by the families folded so far.  The last and each middle family
-    decide every subset of s at once, one flag per mask (an image family
-    of a multiplicative base decides each element once); a block a it
-    accepts adds ways[r] to the next level at r | a for every submask r
-    of the complement of a.  The first family decides a block a only
-    where ways[full ^ a] is not zero.  That is O(h * 3^|s|) additions,
-    and 2^|s| decisions per family, so h = 2 costs O(2^|s|).
-    ResourceLimitError when |s| exceeds SIZE_CAP_H2 (h = 2) or
+    by the families folded so far.  Every family, the first included,
+    decides its blocks through one call that takes the masks to decide
+    and returns one flag per mask (an image family of a multiplicative base
+    decides each element of s once).  The last and each middle family
+    are given every mask; a block a they accept adds ways[r] to the next
+    level at r | a for every submask r of the complement of a.  The first
+    family is given only the masks a where ways[full ^ a] is not zero,
+    the blocks whose complement the rest cover.  That is O(h * 3^|s|)
+    additions, and at most 2^|s| decisions per family, so h = 2 costs
+    O(2^|s|).  ResourceLimitError when |s| exceeds SIZE_CAP_H2 (h = 2) or
     SIZE_CAP_DEFAULT (h > 2).
     """
     fams = tuple(families)
@@ -160,11 +160,12 @@ def count_ordered_covers(s, families) -> int:
             f"|S| = {len(elems)} exceeds the size cap {cap}"
         )
     full = (1 << len(elems)) - 1
+    every = range(full + 1)
     first, *middle, last = fams
-    ways = last._block_flags(elems)
+    ways = last._block_flags(elems, every)
     for fam in reversed(middle):
         folded = [0] * (full + 1)
-        for a, ok in enumerate(fam._block_flags(elems)):
+        for a, ok in enumerate(fam._block_flags(elems, every)):
             if ok:
                 rest = r = full ^ a
                 while True:
@@ -173,13 +174,11 @@ def count_ordered_covers(s, families) -> int:
                         break
                     r = (r - 1) & rest
         ways = folded
-    block = _block_of(elems)
-    # reversed(ways)[a] is ways[full ^ a]
-    return sum(
-        w
-        for a, w in enumerate(reversed(ways))
-        if w and first.contains_block(block(a))
-    )
+    # reversed(ways)[a] is ways[full ^ a]; the masks are generated, not
+    # held, and the flags come back in the order of the non-zero ways
+    wanted = (a for a, w in enumerate(reversed(ways)) if w)
+    flags = first._block_flags(elems, wanted)
+    return sum(w for w, ok in zip(filter(None, reversed(ways)), flags) if ok)
 
 
 def multinomial(n: int, ks) -> int:

@@ -228,6 +228,19 @@ def test_correspond_obeys_the_cover_size_caps(capsys):
     assert record["system_count"] == record["cover_count"] == 2**15
 
 
+@pytest.mark.parametrize("q", [5 * 4194319, 5 * 4194329])
+def test_correspond_reads_a_first_block_in_increasing_prime_order(capsys, q):
+    # SmoothOver refuses the block at 5 before it asks for the index of
+    # the prime beyond 2^22, whatever the hash slots of the two primes
+    code, out, _ = run(
+        capsys, "correspond",
+        "--system", "parts:Union(Primes,SmoothOver(IndexResidue(2,0)));Singleton(1)",
+        "--q", str(q),
+    )
+    assert code == 0
+    assert "equal: True" in out.splitlines()
+
+
 def test_correspond_rejects_a_universe_that_is_not_prime(capsys):
     code, out, err = run(
         capsys, "correspond", "--system", "s-inf:h=2,s=2", "--q", "6",

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from itertools import combinations
@@ -11,6 +12,7 @@ from multrep import (
     ExplicitList,
     IndexResidue,
     Intersection,
+    MultiplicativeSystem,
     Primes,
     PrimesWithOne,
     ResourceLimitError,
@@ -22,6 +24,7 @@ from multrep import (
     build,
     by_cardinality,
     count_ordered_covers,
+    count_system_reps,
     explicit_family,
     image_family,
     multinomial,
@@ -128,6 +131,17 @@ def mask_decisions(fam, elems):
     ]
 
 
+def check_sparse_block_flags(fam, elems, rng):
+    """_block_flags over a sparse list of masks in random order comes back
+    in the listed order."""
+    every = range(1 << len(elems))
+    expected = mask_decisions(fam, elems)
+    masks = rng.sample(every, rng.randrange(0, len(every) + 1) // 3)
+    assert fam._block_flags(elems, masks) == [expected[a] for a in masks], (
+        fam, elems, masks,
+    )
+
+
 def test_block_flags_equal_contains_block_per_mask():
     rng = random.Random(14)
     for base in IMAGE_BASES:
@@ -135,15 +149,23 @@ def test_block_flags_equal_contains_block_per_mask():
             elems = tuple(sorted(rng.sample(PRIMES + (4, 9), rng.randrange(0, 9))))
             universe = rng.sample(PRIMES, rng.randrange(0, len(PRIMES) + 1))
             fam = image_family(base, universe)
-            assert fam._block_flags(elems) == mask_decisions(fam, elems), (
-                base, elems, universe,
-            )
-    assert image_family(AllNaturals(), [])._block_flags(()) == [True]
-    assert image_family(Primes(), [2])._block_flags(()) == [False]
+            assert fam._block_flags(elems, range(1 << len(elems))) == (
+                mask_decisions(fam, elems)
+            ), (base, elems, universe)
+            check_sparse_block_flags(fam, elems, rng)
+    assert image_family(AllNaturals(), [])._block_flags((), range(1)) == [True]
+    assert image_family(Primes(), [2])._block_flags((), range(1)) == [False]
     for fam in (by_cardinality({0, 2}), explicit_family([(2,), (3, 5), ()])):
         for k in range(5):
             elems = PRIMES[:k]
-            assert fam._block_flags(elems) == mask_decisions(fam, elems)
+            assert fam._block_flags(elems, range(1 << k)) == (
+                mask_decisions(fam, elems)
+            )
+            check_sparse_block_flags(fam, elems, rng)
+    for fam in (image_family(Primes(), PRIMES), by_cardinality({1, 2})):
+        assert fam._block_flags(PRIMES, []) == []
+        flags = fam._block_flags(PRIMES, [7, 1, 4, 1, 0])
+        assert flags == [False, True, True, True, False]
 
 
 class AskedBlocks(FamilyDescription):
@@ -176,6 +198,31 @@ def test_first_family_is_asked_only_where_the_rest_cover_the_complement():
     covered = {m | b for m in middles for b in lasts if not m & b}
     assert len(first.asked) == len(set(first.asked)) == 22
     assert set(first.asked) == {s - r for r in covered}
+
+
+# 5 times a prime beyond PRIME_INDEX_LIMIT, whose index the base's
+# IndexResidue class cannot read; the two primes differ in hash slot order
+BIG_PRIME_SETS = ([5, 4194319], [5, 4194329])
+
+
+@pytest.mark.parametrize("s", BIG_PRIME_SETS, ids=str)
+def test_a_non_multiplicative_image_family_reads_a_block_in_increasing_order(s):
+    # 5 is not in class 0 mod 2, so SmoothOver refuses the block before it
+    # asks for the index of the big prime
+    first = image_family(Union((Primes(), SmoothOver(IndexResidue(2, 0)))), s)
+    assert not first.contains_block(frozenset(s))
+    assert count_ordered_covers(s, [first, image_family(Singleton((1,)), s)]) == 0
+
+
+@pytest.mark.parametrize("p", [s[1] for s in BIG_PRIME_SETS])
+def test_a_multiplicative_first_family_decides_every_prime(p):
+    s = [41, p, 5, 7, 11]
+    bases = (SmoothOver(IndexResidue(2, 0)), Singleton((1, 2, 4)))
+    with pytest.raises(ResourceLimitError, match=f"index of {p}"):
+        count_ordered_covers(s, [image_family(base, s) for base in bases])
+    system = MultiplicativeSystem(bases)
+    with pytest.raises(ResourceLimitError, match=f"index of {p}"):
+        count_system_reps(system, math.prod(s), tuple_cap=0)
 
 
 def test_image_family_rejects_a_universe_that_is_not_prime():
