@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import ResourceLimitError
 from .integer_sets import MultiplicativeSystem, SetDescription, _sorted_primes
@@ -27,16 +28,15 @@ class FamilyDescription:
     def contains_block(self, block: frozenset[int]) -> bool:
         raise NotImplementedError
 
-    def _block_flags(self, elems, masks) -> list[bool]:
+    def _block_flags(self, elems, masks):
         """contains_block of the subset of elems each mask picks, one flag
-        per mask in the order that the iterable masks, read once, lists
-        them: bit i picks elems[i]."""
-        return [
-            self.contains_block(
-                frozenset(e for i, e in enumerate(elems) if a >> i & 1)
-            )
-            for a in masks
-        ]
+        per mask, lazily and in the order that the iterable masks, read
+        once, lists them: bit i picks elems[i]."""
+        low, high, half = _halves(elems)
+        low_mask = len(low) - 1
+        for a in masks:
+            block = frozenset(low[a & low_mask][1]).union(high[a >> half][1])
+            yield self.contains_block(block)
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,6 @@ class Explicit(FamilyDescription):
 
     def contains_block(self, block: frozenset[int]) -> bool:
         return block in self.blocks
-
-    def _block_flags(self, elems, masks) -> list[bool]:
-        bit = {e: 1 << i for i, e in enumerate(elems)}
-        listed = {sum(map(bit.get, b)) for b in self.blocks if b.issubset(bit)}
-        return [a in listed for a in masks]
 
 
 def explicit_family(blocks) -> Explicit:
@@ -65,9 +60,8 @@ class ByCardinality(FamilyDescription):
     def contains_block(self, block: frozenset[int]) -> bool:
         return len(block) in self.sizes
 
-    def _block_flags(self, elems, masks) -> list[bool]:
-        sizes = self.sizes
-        return [a.bit_count() in sizes for a in masks]
+    def _block_flags(self, elems, masks):
+        return (a.bit_count() in self.sizes for a in masks)
 
 
 def by_cardinality(sizes) -> ByCardinality:
@@ -89,34 +83,30 @@ class ImageOfSet(FamilyDescription):
             return False
         # a block of distinct primes is its own factorization, read in
         # increasing order as the system side reads it
-        primes = sorted(block)
-        prod = math.prod(primes)
-        return self.base.contains_factored(prod, dict.fromkeys(primes, 1))
+        factors = dict.fromkeys(sorted(block), 1)
+        return self.base.contains_factored(math.prod(block), factors)
 
-    def _block_flags(self, elems, masks) -> list[bool]:
+    def _block_flags(self, elems, masks):
         base, universe = self.base, self.universe
-        if base.multiplicative:
-            # the base holds 1, and a product of distinct primes exactly
-            # when it holds each of them
-            bad = sum(
-                1 << i
-                for i, p in enumerate(elems)
-                if p not in universe or not base.contains_factored(p, {p: 1})
-            )
-            return [not a & bad for a in masks]
         outside = sum(1 << i for i, p in enumerate(elems) if p not in universe)
-        # a block is the union of a subset of the lower and one of the
-        # upper half, so that only the 2^(n/2) subsets of each are held
-        half = len(elems) // 2
-        low, high = _factored(elems[:half]), _factored(elems[half:])
+        low, high, half = _halves(elems)
         low_mask = len(low) - 1
-        contains = base.contains_factored
-
-        def holds(a):
-            (lp, lf), (hp, hf) = low[a & low_mask], high[a >> half]
-            return contains(lp * hp, lf | hf)
-
-        return [not a & outside and holds(a) for a in masks]
+        # a multiplicative base holds a product of distinct primes exactly
+        # when it holds each of them, so it answers a block whose primes
+        # it was asked about alone from those answers; primes outside the
+        # universe count as refused alone without asking
+        mult = base.multiplicative
+        alone = refused = outside  # the primes decided alone, and refused
+        for a in masks:
+            if a & outside or mult and not a & ~alone:
+                yield not a & refused
+            else:
+                (lp, lf), (hp, hf) = low[a & low_mask], high[a >> half]
+                ok = base.contains_factored(lp * hp, lf | hf)
+                if not a & (a - 1):
+                    alone |= a
+                    refused |= 0 if ok else a
+                yield ok
 
 
 def image_family(base: SetDescription, universe) -> ImageOfSet:
@@ -124,13 +114,18 @@ def image_family(base: SetDescription, universe) -> ImageOfSet:
     return ImageOfSet(base, frozenset(universe))
 
 
-def _factored(primes) -> list[tuple[int, dict[int, int]]]:
-    """The product and factorization of each subset of the distinct
-    primes, indexed by mask."""
-    out = [(1, {})]
-    for p in primes:
-        out += [(m * p, f | {p: 1}) for m, f in out]
-    return out
+def _halves(elems):
+    """The product and factorization {e: 1} of each subset of the lower
+    and of the upper half of the distinct elems, indexed by mask, and the
+    size of the lower half.  The subset of elems that the mask a picks
+    (bit i picks elems[i]) is the union of low[a & low_mask] and
+    high[a >> half], so that only the 2^(n/2) subsets of each are held."""
+    half = len(elems) // 2
+    low, high = [(1, {})], [(1, {})]
+    for out, part in ((low, elems[:half]), (high, elems[half:])):
+        for e in part:
+            out += [(m * e, f | {e: 1}) for m, f in out]
+    return low, high, half
 
 
 def count_ordered_covers(s, families) -> int:
@@ -140,14 +135,18 @@ def count_ordered_covers(s, families) -> int:
     s, from the last family up: ways[r] counts the covers of the mask r
     by the families folded so far.  Every family, the first included,
     decides its blocks through one call that takes the masks to decide
-    and returns one flag per mask (an image family of a multiplicative base
-    decides each element of s once).  The last and each middle family
-    are given every mask; a block a they accept adds ways[r] to the next
-    level at r | a for every submask r of the complement of a.  The first
-    family is given only the masks a where ways[full ^ a] is not zero,
-    the blocks whose complement the rest cover.  That is O(h * 3^|s|)
-    additions, and at most 2^|s| decisions per family, so h = 2 costs
-    O(2^|s|).  ResourceLimitError when |s| exceeds SIZE_CAP_H2 (h = 2) or
+    and lazily returns one flag per mask.  The last and each middle
+    family are given every mask; a block a they accept adds ways[r] to
+    the next level at r | a for every submask r of the complement of a.
+    The first family is given only the masks a where ways[full ^ a] is
+    not zero, the blocks whose complement the rest cover; but when every
+    family is the image of a multiplicative set it is given every mask,
+    as the system side then decides each part at each prime.  An image
+    family asks its base about a listed block, primes in increasing
+    order, unless the base is multiplicative and was asked about each of
+    the block's primes alone.  That is O(h * 3^|s|) additions, and at
+    most 2^|s| decisions per family, so h = 2 costs O(2^|s|).
+    ResourceLimitError when |s| exceeds SIZE_CAP_H2 (h = 2) or
     SIZE_CAP_DEFAULT (h > 2).
     """
     fams = tuple(families)
@@ -162,7 +161,7 @@ def count_ordered_covers(s, families) -> int:
     full = (1 << len(elems)) - 1
     every = range(full + 1)
     first, *middle, last = fams
-    ways = last._block_flags(elems, every)
+    ways = list(last._block_flags(elems, every))
     for fam in reversed(middle):
         folded = [0] * (full + 1)
         for a, ok in enumerate(fam._block_flags(elems, every)):
@@ -175,10 +174,11 @@ def count_ordered_covers(s, families) -> int:
                     r = (r - 1) & rest
         ways = folded
     # reversed(ways)[a] is ways[full ^ a]; the masks are generated, not
-    # held, and the flags come back in the order of the non-zero ways
-    wanted = (a for a, w in enumerate(reversed(ways)) if w)
-    flags = first._block_flags(elems, wanted)
-    return sum(w for w, ok in zip(filter(None, reversed(ways)), flags) if ok)
+    # held, and the flags come back in their order
+    eager = all(isinstance(f, ImageOfSet) and f.base.multiplicative for f in fams)
+    masks = every if eager else compress(every, reversed(ways))
+    counts = reversed(ways) if eager else filter(None, reversed(ways))
+    return sum(w for w, ok in zip(counts, first._block_flags(elems, masks)) if ok)
 
 
 def multinomial(n: int, ks) -> int:

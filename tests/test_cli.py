@@ -229,13 +229,17 @@ def test_correspond_obeys_the_cover_size_caps(capsys):
 
 
 @pytest.mark.parametrize("q", [5 * 4194319, 5 * 4194329])
-def test_correspond_reads_a_first_block_in_increasing_prime_order(capsys, q):
+@pytest.mark.parametrize("first", [
+    "Union(Primes,SmoothOver(IndexResidue(2,0)));Singleton(1)",
+    "SmoothOver(IndexResidue(2,0));Singleton(1,6)",
+])
+def test_correspond_reads_a_first_block_in_increasing_prime_order(capsys, q, first):
     # SmoothOver refuses the block at 5 before it asks for the index of
-    # the prime beyond 2^22, whatever the hash slots of the two primes
+    # the prime beyond 2^22, whatever the hash slots of the two primes,
+    # and the multiplicative first part is decided only there since the
+    # last part is not multiplicative
     code, out, _ = run(
-        capsys, "correspond",
-        "--system", "parts:Union(Primes,SmoothOver(IndexResidue(2,0)));Singleton(1)",
-        "--q", str(q),
+        capsys, "correspond", "--system", "parts:" + first, "--q", str(q)
     )
     assert code == 0
     assert "equal: True" in out.splitlines()

@@ -137,7 +137,7 @@ def check_sparse_block_flags(fam, elems, rng):
     every = range(1 << len(elems))
     expected = mask_decisions(fam, elems)
     masks = rng.sample(every, rng.randrange(0, len(every) + 1) // 3)
-    assert fam._block_flags(elems, masks) == [expected[a] for a in masks], (
+    assert list(fam._block_flags(elems, masks)) == [expected[a] for a in masks], (
         fam, elems, masks,
     )
 
@@ -149,23 +149,21 @@ def test_block_flags_equal_contains_block_per_mask():
             elems = tuple(sorted(rng.sample(PRIMES + (4, 9), rng.randrange(0, 9))))
             universe = rng.sample(PRIMES, rng.randrange(0, len(PRIMES) + 1))
             fam = image_family(base, universe)
-            assert fam._block_flags(elems, range(1 << len(elems))) == (
-                mask_decisions(fam, elems)
-            ), (base, elems, universe)
+            flags = fam._block_flags(elems, range(1 << len(elems)))
+            assert list(flags) == mask_decisions(fam, elems), (base, elems, universe)
             check_sparse_block_flags(fam, elems, rng)
-    assert image_family(AllNaturals(), [])._block_flags((), range(1)) == [True]
-    assert image_family(Primes(), [2])._block_flags((), range(1)) == [False]
+    assert list(image_family(AllNaturals(), [])._block_flags((), range(1))) == [True]
+    assert list(image_family(Primes(), [2])._block_flags((), range(1))) == [False]
     for fam in (by_cardinality({0, 2}), explicit_family([(2,), (3, 5), ()])):
         for k in range(5):
             elems = PRIMES[:k]
-            assert fam._block_flags(elems, range(1 << k)) == (
-                mask_decisions(fam, elems)
-            )
+            flags = fam._block_flags(elems, range(1 << k))
+            assert list(flags) == mask_decisions(fam, elems)
             check_sparse_block_flags(fam, elems, rng)
     for fam in (image_family(Primes(), PRIMES), by_cardinality({1, 2})):
-        assert fam._block_flags(PRIMES, []) == []
+        assert list(fam._block_flags(PRIMES, [])) == []
         flags = fam._block_flags(PRIMES, [7, 1, 4, 1, 0])
-        assert flags == [False, True, True, True, False]
+        assert list(flags) == [False, True, True, True, False]
 
 
 class AskedBlocks(FamilyDescription):
@@ -216,6 +214,8 @@ def test_a_non_multiplicative_image_family_reads_a_block_in_increasing_order(s):
 
 @pytest.mark.parametrize("p", [s[1] for s in BIG_PRIME_SETS])
 def test_a_multiplicative_first_family_decides_every_prime(p):
+    # every part is multiplicative, so the system side decides each part
+    # at each prime, and 5 refused does not spare the index of p
     s = [41, p, 5, 7, 11]
     bases = (SmoothOver(IndexResidue(2, 0)), Singleton((1, 2, 4)))
     with pytest.raises(ResourceLimitError, match=f"index of {p}"):
@@ -223,6 +223,17 @@ def test_a_multiplicative_first_family_decides_every_prime(p):
     system = MultiplicativeSystem(bases)
     with pytest.raises(ResourceLimitError, match=f"index of {p}"):
         count_system_reps(system, math.prod(s), tuple_cap=0)
+
+
+@pytest.mark.parametrize("s", BIG_PRIME_SETS, ids=str)
+def test_a_multiplicative_first_family_before_another_part_is_lazy(s):
+    # Singleton((1, 6)) is not multiplicative, so the system side decides
+    # its first part only at 5p, and refuses 5 before it asks for the
+    # index of p
+    bases = (SmoothOver(IndexResidue(2, 0)), Singleton((1, 6)))
+    assert count_ordered_covers(s, [image_family(base, s) for base in bases]) == 0
+    system = MultiplicativeSystem(bases)
+    assert count_system_reps(system, math.prod(s), tuple_cap=0).count == 0
 
 
 def test_image_family_rejects_a_universe_that_is_not_prime():
