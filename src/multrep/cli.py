@@ -31,7 +31,7 @@ def parse_system_spec(spec: str) -> MultiplicativeSystem:
     """A system is given as a named shorthand (fundamental:h=2,
     one-t:h=2,t=3, one-inf:h=2, s-inf:h=3,s=2), an inline part list
     (parts:EXPR;EXPR;...), or a file of one part expression per line
-    (@path)."""
+    (@path).  A shorthand takes only its own keys, each at most once."""
     try:
         if spec.startswith("@"):
             with open(spec[1:]) as f:
@@ -44,11 +44,11 @@ def parse_system_spec(spec: str) -> MultiplicativeSystem:
             return parse_system(spec[len("parts:"):])
         name, _, args = spec.partition(":")
         if name in catalog.NAMES:
-            kv = {}
-            if args:
-                for item in args.split(","):
-                    key, _, value = item.partition("=")
-                    kv[key.strip()] = int(value)
+            items = [item.partition("=") for item in args.split(",")] if args else []
+            kv = {key.strip(): int(value) for key, _, value in items}
+            keys = {"h"} | {"one-t": {"t"}, "s-inf": {"s"}}.get(name, set())
+            if len(kv) < len(items) or not kv.keys() <= keys:
+                raise ValueError(f"{name} takes only {', '.join(sorted(keys))}, once each")
             return catalog.build(
                 name, kv.get("h", 2), t=kv.get("t"), s=kv.get("s")
             ).system

@@ -531,10 +531,6 @@ class Intersection(SetDescription):
     def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
         return all(part.contains_factored(n, factors) for part in self.parts)
 
-    def prime_power_flags(self, p: int, e: int) -> list[bool]:
-        flags = [part.prime_power_flags(p, e) for part in self.parts]
-        return [all(ok) for ok in zip(*flags)]
-
     def iter_up_to(self, limit: int):
         first, *rest = self.parts
         for v in first.iter_up_to(limit):

@@ -87,26 +87,15 @@ class ImageOfSet(FamilyDescription):
         return self.base.contains_factored(math.prod(block), factors)
 
     def _block_flags(self, elems, masks):
-        base, universe = self.base, self.universe
-        outside = sum(1 << i for i, p in enumerate(elems) if p not in universe)
+        outside = sum(1 << i for i, p in enumerate(elems) if p not in self.universe)
         low, high, half = _halves(elems)
         low_mask = len(low) - 1
-        # a multiplicative base holds a product of distinct primes exactly
-        # when it holds each of them, so it answers a block whose primes
-        # it was asked about alone from those answers; primes outside the
-        # universe count as refused alone without asking
-        mult = base.multiplicative
-        alone = refused = outside  # the primes decided alone, and refused
         for a in masks:
-            if a & outside or mult and not a & ~alone:
-                yield not a & refused
+            if a & outside:
+                yield False
             else:
                 (lp, lf), (hp, hf) = low[a & low_mask], high[a >> half]
-                ok = base.contains_factored(lp * hp, lf | hf)
-                if not a & (a - 1):
-                    alone |= a
-                    refused |= 0 if ok else a
-                yield ok
+                yield self.base.contains_factored(lp * hp, lf | hf)
 
 
 def image_family(base: SetDescription, universe) -> ImageOfSet:
@@ -131,38 +120,49 @@ def _halves(elems):
 def count_ordered_covers(s, families) -> int:
     """Exact count of ordered disjoint covers of s by family blocks.
 
-    A fold over bitmasks, bit i standing for the i-th smallest element of
-    s, from the last family up: ways[r] counts the covers of the mask r
-    by the families folded so far.  Every family, the first included,
-    decides its blocks through one call that takes the masks to decide
-    and lazily returns one flag per mask.  The last and each middle
-    family are given every mask; a block a they accept adds ways[r] to
-    the next level at r | a for every submask r of the complement of a.
-    The first family is given only the masks a where ways[full ^ a] is
-    not zero, the blocks whose complement the rest cover; but when every
-    family is the image of a multiplicative set it is given every mask,
-    as the system side then decides each part at each prime.  An image
-    family asks its base about a listed block, primes in increasing
-    order, unless the base is multiplicative and was asked about each of
-    the block's primes alone.  That is O(h * 3^|s|) additions, and at
-    most 2^|s| decisions per family, so h = 2 costs O(2^|s|).
-    ResourceLimitError when |s| exceeds SIZE_CAP_H2 (h = 2) or
-    SIZE_CAP_DEFAULT (h > 2).
+    The tail, the trailing run of image families of multiplicative sets,
+    is counted per element, as the system side counts its tail per
+    prime: a block of distinct primes is in such a family exactly when
+    each of its primes is, so each tail family is asked about each
+    element alone (elements in increasing order outside, families
+    inside), and the tail covers a set of elements in the product over
+    them of held, the number of tail families holding each.  The
+    families above fold over bitmasks from there, bit i standing for
+    the i-th smallest element, or from the last family's flags when the
+    tail is empty: ways[r] counts the covers of the mask r so far.  Each
+    decides its blocks through one call that lazily returns a flag per
+    mask given.  A middle family is given every mask, and a block a it
+    accepts adds ways[r] at r | a for every submask r of the complement
+    of a; the first is given only the masks whose complement the rest
+    cover.  That is O(h * 3^|s|) additions above the tail and at most
+    2^|s| decisions per family.  ResourceLimitError when |s| exceeds
+    SIZE_CAP_H2 (h = 2) or SIZE_CAP_DEFAULT (h > 2).
     """
     fams = tuple(families)
     if len(fams) < 2:
         raise ValueError("need h >= 2 families")
-    elems = tuple(sorted(s))
+    elems = tuple(sorted(set(s)))
     cap = SIZE_CAP_H2 if len(fams) == 2 else SIZE_CAP_DEFAULT
     if len(elems) > cap:
         raise ResourceLimitError(
             f"|S| = {len(elems)} exceeds the size cap {cap}"
         )
+    t = len(fams)
+    while t and isinstance(fams[t - 1], ImageOfSet) and fams[t - 1].base.multiplicative:
+        t -= 1
+    held = [sum(f.contains_block(frozenset((e,))) for f in fams[t:]) for e in elems]
+    if t == 0:
+        return math.prod(held)
     full = (1 << len(elems)) - 1
     every = range(full + 1)
-    first, *middle, last = fams
-    ways = list(last._block_flags(elems, every))
-    for fam in reversed(middle):
+    if t == len(fams):  # no tail: the last family starts the fold
+        t -= 1
+        ways = list(fams[t]._block_flags(elems, every))
+    else:
+        ways = [1]
+        for k in held:
+            ways += [w * k for w in ways]
+    for fam in reversed(fams[1:t]):
         folded = [0] * (full + 1)
         for a, ok in enumerate(fam._block_flags(elems, every)):
             if ok:
@@ -175,10 +175,9 @@ def count_ordered_covers(s, families) -> int:
         ways = folded
     # reversed(ways)[a] is ways[full ^ a]; the masks are generated, not
     # held, and the flags come back in their order
-    eager = all(isinstance(f, ImageOfSet) and f.base.multiplicative for f in fams)
-    masks = every if eager else compress(every, reversed(ways))
-    counts = reversed(ways) if eager else filter(None, reversed(ways))
-    return sum(w for w, ok in zip(counts, first._block_flags(elems, masks)) if ok)
+    masks = compress(every, reversed(ways))
+    flags = fams[0]._block_flags(elems, masks)
+    return sum(w for w, ok in zip(filter(None, reversed(ways)), flags) if ok)
 
 
 def multinomial(n: int, ks) -> int:

@@ -245,6 +245,36 @@ def test_correspond_reads_a_first_block_in_increasing_prime_order(capsys, q, fir
     assert "equal: True" in out.splitlines()
 
 
+def test_correspond_with_a_tail_intersection_that_refuses_a_big_prime(capsys):
+    # SmoothOver(ExplicitList(3)) refuses 4194319 before the second part
+    # of the Intersection asks for the index of that prime beyond 2^22
+    spec = "parts:AllNaturals;Intersection(SmoothOver(ExplicitList(3)),SmoothOver(IndexResidue(2,0)))"
+    code, out, _ = run(capsys, "correspond", "--system", spec, "--q", str(3 * 4194319))
+    assert code == 0
+    assert "equal: True" in out.splitlines()
+
+
+@pytest.mark.parametrize("spec", [
+    "fundamental:H=3",
+    "fundamental:h=2,h=3",
+    "one-t:h=2,t=3,s=9",
+    "one-t:h=2,t=3,t=3",
+    "one-inf:h=2,t=1",
+    "s-inf:h=3,s=2,t=1",
+])
+def test_a_shorthand_with_an_unknown_or_repeated_key_is_a_bad_spec(capsys, spec):
+    code, out, err = run(capsys, "count", "--system", spec, "--n", "12")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad system spec {spec!r}")
+
+
+def test_each_shorthand_takes_its_own_keys():
+    assert parse_system_spec("fundamental") == build("fundamental", 2).system
+    assert parse_system_spec("one-inf:h=3") == build("one-inf", 3).system
+    assert parse_system_spec("one-t:t=3,h=2") == build("one-t", 2, t=3).system
+    assert parse_system_spec("s-inf:s=2,h=3") == build("s-inf", 3, s=2).system
+
+
 def test_correspond_rejects_a_universe_that_is_not_prime(capsys):
     code, out, err = run(
         capsys, "correspond", "--system", "s-inf:h=2,s=2", "--q", "6",

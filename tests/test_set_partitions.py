@@ -4,12 +4,13 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multrep import (
     AllNaturals,
     ExplicitList,
+    FactorizationLimitError,
     IndexResidue,
     Intersection,
     MultiplicativeSystem,
@@ -31,9 +32,12 @@ from multrep import (
     phi,
     verify_correspondence,
 )
+from multrep.cli import parse_system_spec
+from multrep.integer_sets import SetDescription
 from multrep.set_partitions import FamilyDescription
 
 from conftest import oracle_count_covers, sieve_squarefree
+from test_repcount import SMALL_PRIMES, any_sets, systems
 
 
 def test_cover_count_all_subsets():
@@ -234,6 +238,99 @@ def test_a_multiplicative_first_family_before_another_part_is_lazy(s):
     assert count_ordered_covers(s, [image_family(base, s) for base in bases]) == 0
     system = MultiplicativeSystem(bases)
     assert count_system_reps(system, math.prod(s), tuple_cap=0).count == 0
+
+
+# a multiplicative tail whose Intersection refuses 4194319 at its first
+# part, before the second part asks for that prime's index
+REFUSING_TAIL = MultiplicativeSystem((
+    AllNaturals(),
+    Intersection((SmoothOver(ExplicitList((3,))), SmoothOver(IndexResidue(2, 0)))),
+))
+
+
+def test_a_tail_intersection_refuses_at_its_first_refusing_part():
+    s = [3, 4194319]
+    assert count_system_reps(REFUSING_TAIL, math.prod(s), tuple_cap=0).count == 2
+    fams = [image_family(part, s) for part in REFUSING_TAIL.parts]
+    assert count_ordered_covers(s, fams) == 2
+
+
+def outcome(count, *args):
+    """The count, or the name of the documented error it raised."""
+    try:
+        return count(*args)
+    except (ResourceLimitError, FactorizationLimitError) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    systems(any_sets),
+    st.lists(st.sampled_from(SMALL_PRIMES + (4194319, 4194329)), unique=True, max_size=7),
+)
+@example(REFUSING_TAIL, [3, 4194319])
+def test_both_sides_of_the_correspondence_agree(system, s):
+    # above 2^63 - 1 the system side raises FactorizationLimitError by
+    # contract, a range limit the cover side does not share
+    assume(math.prod(s) <= 2**63 - 1)
+    fams = [image_family(part, s) for part in system.parts]
+    covers = outcome(count_ordered_covers, s, fams)
+    reps = outcome(lambda q: count_system_reps(system, q, tuple_cap=0).count, math.prod(s))
+    assert covers == reps
+    if len(s) <= 6 and isinstance(covers, int):
+        # the oracle asks every block, so it may raise where both sides do
+        # not; and both sides ask each tail family about each prime alone,
+        # so they may raise where the oracle refuses a whole block at a
+        # smaller prime, as test_a_multiplicative_first_family_decides_every_prime
+        # pins
+        oracle = outcome(oracle_count_covers, s, fams)
+        if isinstance(oracle, int):
+            assert covers == oracle
+
+
+class AskedPrimes(SetDescription):
+    """A multiplicative base that logs its name and n at each ask."""
+
+    multiplicative = True
+
+    def __init__(self, name, inner, log):
+        self.name, self.inner, self.log = name, inner, log
+
+    def contains_factored(self, n, factors):
+        self.log.append((self.name, n))
+        return self.inner.contains_factored(n, factors)
+
+
+def test_each_tail_family_is_asked_about_each_prime_alone_once():
+    s = [13, 2, 7, 3, 11, 5]
+    log = []
+    tail = [AskedPrimes("a", SmoothOver(ExplicitList((2, 5, 7))), log),
+            AskedPrimes("b", Squarefree(), log)]
+    for head in ([], [Primes()], [PrimesWithOne(), Singleton((1, 6))]):
+        fams = [image_family(base, s) for base in head + tail]
+        log.clear()
+        count = count_ordered_covers(s, fams)
+        assert log == [(name, p) for p in sorted(s) for name in "ab"]
+        assert count == oracle_count_covers(s, fams)
+
+
+def test_a_repeated_element_counts_once():
+    fams = [by_cardinality({1})] * 2
+    assert count_ordered_covers([2, 2], fams) == count_ordered_covers([2], fams) == 0
+    naturals = [image_family(AllNaturals(), [3, 5])] * 2
+    assert count_ordered_covers([3, 3, 5], naturals) == 4
+
+
+def test_a_tail_of_naturals_counts_each_prime_per_family():
+    s = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+    assert count_ordered_covers(s, [image_family(AllNaturals(), s)] * 4) == 4**13
+    s = s[:6]
+    for spec in (
+        "parts:Primes;AllNaturals",
+        "parts:Union(PowersOf(3,0,2),Primes);PrimesWithOne;Singleton(1,2,4)",
+    ):
+        fams = [image_family(part, s) for part in parse_system_spec(spec).parts]
+        assert count_ordered_covers(s, fams) == oracle_count_covers(s, fams)
 
 
 def test_image_family_rejects_a_universe_that_is_not_prime():
