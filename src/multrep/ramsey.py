@@ -43,6 +43,83 @@ def _shape(ground, k: int) -> tuple[tuple[int, ...], int]:
     return ground, size
 
 
+# the subset tables of this many shapes are kept, each of at most
+# _KEPT_SUBSETS subsets; see _subsets
+_KEPT_SHAPES = 16
+_KEPT_SUBSETS = 1 << 10
+
+
+class _Subsets:
+    """The k-subsets of a sorted ground in rank order, in three views: as
+    frozensets, as the texts dump_coloring writes, and as the dict from
+    text to rank.  Each view is built afresh when it is read, so a shape
+    that is not kept holds nothing once its caller is done with it."""
+
+    def __init__(self, ground: tuple, k: int):
+        self.ground = ground
+        self.k = k
+
+    def frozensets(self):
+        return map(frozenset, combinations(self.ground, self.k))
+
+    def texts(self):
+        names = [str(x) for x in self.ground]
+        return map(" ".join, combinations(names, self.k))
+
+    def index(self) -> dict:
+        return {text: r for r, text in enumerate(self.texts())}
+
+
+class _KeptSubsets(_Subsets):
+    """The views of a kept shape, each built once and shared by every
+    caller, which only reads them."""
+
+    def __init__(self, ground: tuple, k: int):
+        super().__init__(ground, k)
+        self._frozensets = tuple(super().frozensets())
+        self._index = {text: r for r, text in enumerate(super().texts())}
+
+    def frozensets(self):
+        return self._frozensets
+
+    def texts(self):
+        return self._index.keys()
+
+    def index(self) -> dict:
+        return self._index
+
+
+@lru_cache(maxsize=_KEPT_SHAPES)
+def _kept_subsets(ground: tuple, k: int) -> _KeptSubsets:
+    return _KeptSubsets(ground, k)
+
+
+def _subsets(ground: tuple, k: int) -> _Subsets:
+    """The subset views of a ground shaped by _shape.  Call it only after
+    _shape, so that a table above TABLE_CAP is refused first.
+
+    The views of the last _KEPT_SHAPES small shapes are kept and shared.
+    A shape is small when it has at most _KEPT_SUBSETS k-subsets, twice
+    as many elements in all, and a ground of plain ints within 64 bits.
+    Equal plain ints print alike, so equal grounds of them may share
+    texts; a ground with any other element (1.0, True, ...) is never
+    kept, since it may equal a kept ground and print otherwise.  A kept
+    shape takes under 0.5 MiB with its key (the worst case is 2^10
+    singletons of 20-character ints, about 0.39 MB), so the cache holds
+    under 8 MiB whatever shapes go through it.  Any other shape gets
+    views built for the call, and keeps nothing.
+    """
+    size = comb(len(ground), k)
+    if (
+        size <= _KEPT_SUBSETS
+        and size * k <= 2 * _KEPT_SUBSETS
+        and set(map(type, ground)) <= {int}
+        and (not ground or -(1 << 63) <= ground[0] and ground[-1] < 1 << 63)
+    ):
+        return _kept_subsets(ground, k)
+    return _Subsets(ground, k)
+
+
 @lru_cache(maxsize=256)
 def _rank_weights(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Weights w such that positions c_0 < ... < c_{k-1} in a sorted ground
@@ -91,14 +168,13 @@ class Coloring:
 
     def __post_init__(self, colors: Mapping[frozenset, int]):
         ground, size = _shape(self.ground, self.k)
-        subsets = combinations(ground, self.k)
+        subsets = _subsets(ground, self.k)
         try:
-            table = [colors[frozenset(c)] for c in subsets]
+            table = list(map(colors.__getitem__, subsets.frozensets()))
         except KeyError:
             table = None
         if table is None or len(colors) != size:
-            subsets = combinations(ground, self.k)
-            missing = sum(frozenset(c) not in colors for c in subsets)
+            missing = sum(s not in colors for s in subsets.frozensets())
             _require_total(self.k, missing, len(colors) - (size - missing))
         vars(self).update(vars(self._from_table(ground, self.k, table)))
 
@@ -118,10 +194,8 @@ class Coloring:
     @property
     def colors(self) -> Mapping[frozenset, int]:
         """Read-only {frozenset k-subset: color} view built from the table."""
-        subsets = combinations(self.ground, self.k)
-        return MappingProxyType(
-            {frozenset(c): col for c, col in zip(subsets, self.table)}
-        )
+        subsets = _subsets(self.ground, self.k).frozensets()
+        return MappingProxyType(dict(zip(subsets, self.table)))
 
     def positions(self, subset) -> list[int]:
         """Sorted indices in ground of the distinct elements of subset;
@@ -190,7 +264,11 @@ def find_homogeneous(
     """Lexicographically least size-m subset with all k-subsets one color.
 
     Returns None when no such subset exists in this finite ground set;
-    raises SearchBudgetExceeded if the node budget runs out first.
+    raises SearchBudgetExceeded if the node budget runs out first.  The
+    budget counts positions tried.  For k = 2 the search tries only the
+    positions joined in one color to every chosen one, and only while
+    enough of them are left to reach m, so it tries fewer positions than
+    a plain scan and may resolve a search that such a scan could not.
     """
     ground = coloring.ground
     if within is None:
@@ -207,6 +285,8 @@ def find_homogeneous(
         return None
     if k == 0:
         return tuple(ground[p] for p in positions[:m])
+    if k == 2:
+        return _find_pair_homogeneous(coloring, m, budget, positions)
 
     weights = _rank_weights(len(ground), k)
     last = weights[k - 1]
@@ -227,9 +307,7 @@ def find_homogeneous(
         for idx in range(start, len(positions) - (m - len(chosen)) + 1):
             nodes += 1
             if nodes > budget:
-                raise SearchBudgetExceeded(
-                    f"node budget {budget} exhausted before resolution"
-                )
+                raise _budget_exhausted(budget)
             p = positions[idx]
             offset = last[p]
             new_color = color
@@ -254,6 +332,77 @@ def find_homogeneous(
             if chosen:
                 chosen.pop()
     return None
+
+
+def _find_pair_homogeneous(coloring: Coloring, m: int, budget: int, positions):
+    """find_homogeneous for k = 2 and 2 <= m <= len(positions), on bit
+    masks: bit j stands for positions[j].
+
+    The first two positions are tried as the frame search tries them, and
+    they fix the color.  From there one candidate mask holds the later
+    positions joined in that color to every chosen one; its lowest bit is
+    tried first, and the branch ends when the chosen count plus the
+    candidates' popcount falls below m.  Each branch tried is one the
+    frame search tries too, in the same order, so the answer is the same
+    and no more positions are tried.
+    """
+    ground = coloring.ground
+    table = coloring.table
+    n = len(ground)
+    first = _rank_weights(n, 2)[0]
+    # rows[i]: {color: mask of the j > i whose pair with i has that color},
+    # built the first time position i is chosen
+    rows = [None] * len(positions)
+
+    def row(i: int) -> dict:
+        masks = rows[i]
+        if masks is None:
+            masks = rows[i] = {}
+            # the pair (p, q), p < q, has rank first[p] + q + 1 - n
+            base = first[positions[i]] + 1 - n
+            bit = 2 << i
+            for q in positions[i + 1:]:
+                color = table[base + q]
+                masks[color] = masks.get(color, 0) | bit
+                bit <<= 1
+        return masks
+
+    nodes = 0
+    for i in range(len(positions) - m + 1):
+        nodes += 1
+        if nodes > budget:
+            raise _budget_exhausted(budget)
+        base = first[positions[i]] + 1 - n
+        for j in range(i + 1, len(positions) - m + 2):
+            nodes += 1
+            if nodes > budget:
+                raise _budget_exhausted(budget)
+            if m == 2:
+                return ground[positions[i]], ground[positions[j]]
+            color = table[base + positions[j]]
+            chosen = [i, j]
+            stack = [row(i)[color] & row(j).get(color, 0)]
+            while stack:
+                candidates = stack[-1]
+                if len(chosen) + candidates.bit_count() < m:
+                    stack.pop()
+                    chosen.pop()
+                    continue
+                low = candidates & -candidates
+                stack[-1] = candidates ^ low
+                nodes += 1
+                if nodes > budget:
+                    raise _budget_exhausted(budget)
+                q = low.bit_length() - 1
+                chosen.append(q)
+                if len(chosen) == m:
+                    return tuple(ground[positions[x]] for x in chosen)
+                stack.append(stack[-1] & row(q).get(color, 0))
+    return None
+
+
+def _budget_exhausted(budget: int) -> SearchBudgetExceeded:
+    return SearchBudgetExceeded(f"node budget {budget} exhausted before resolution")
 
 
 def iterated_chain(
@@ -380,10 +529,10 @@ def doubly_iterated_chain(
 # ---------------------------------------------------------------------------
 
 def dump_coloring(coloring: Coloring) -> str:
-    names = [str(x) for x in coloring.ground]
-    lines = ["ground: " + " ".join(names), f"k: {coloring.k}"]
-    subsets = map(" ".join, combinations(names, coloring.k))
-    lines += [f"{s} : {col}" for s, col in zip(subsets, coloring.table)]
+    ground, k = coloring.ground, coloring.k
+    lines = ["ground: " + " ".join(map(str, ground)), f"k: {k}"]
+    texts = _subsets(ground, k).texts()
+    lines += [f"{s} : {col}" for s, col in zip(texts, coloring.table)]
     return "\n".join(lines) + "\n"
 
 
@@ -418,8 +567,7 @@ def load_coloring(text: str) -> Coloring:
     if ground is None or k is None:
         raise ValueError("coloring file needs 'ground:' and 'k:' lines")
     ground, size = _shape(ground, k)
-    names = [str(x) for x in ground]
-    index = dict(zip(map(" ".join, combinations(names, k)), range(size)))
+    index = _subsets(ground, k).index()
     table = [None] * size
     extraneous = set()
     for key, right in rows:

@@ -1,5 +1,7 @@
+import gc
 import random
 import time
+import tracemalloc
 from itertools import combinations, product
 from math import comb
 from pathlib import Path
@@ -349,6 +351,71 @@ def test_find_homogeneous_matches_oracle(spec, m, data):
     assert found == oracle_homogeneous(colors, search, k, m)
 
 
+def paley(p, seed):
+    """{frozenset pair: color} of the Paley graph on Z/p, its vertices
+    relabelled by a seeded permutation: a pair whose difference is a
+    nonzero square has color 0, any other pair color 1."""
+    squares = {x * x % p for x in range(1, p)}
+    label = list(range(p))
+    random.Random(seed).shuffle(label)
+    return {
+        frozenset((label[a], label[b])): int((b - a) % p not in squares)
+        for a, b in combinations(range(p), 2)
+    }
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("p", [13, 17])
+def test_paley_searches_match_the_oracle(p, seed):
+    # both colors of Paley(13) and Paley(17) hold triangles and no K4
+    colors = paley(p, seed)
+    coloring = Coloring(range(p), 2, colors)
+    found = find_homogeneous(coloring, 3)
+    assert found is not None
+    assert found == oracle_homogeneous(colors, range(p), 2, 3)
+    assert find_homogeneous(coloring, 4) is None
+    assert oracle_homogeneous(colors, range(p), 2, 4) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(9, 11),
+    st.integers(1, 3),
+    st.integers(3, 4),
+    st.integers(0, 8),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_find_homogeneous_matches_oracle_beyond_seven_elements(
+    n, k, num_colors, m, seed, data
+):
+    coloring = random_coloring(range(n), k, num_colors, random.Random(seed))
+    within = None
+    if data.draw(st.booleans()):
+        within = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2))
+    search = range(n) if within is None else set(within)
+    found = find_homogeneous(coloring, m, within=within)
+    assert found == oracle_homogeneous(coloring.colors, search, k, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(colorings(max_size=9), st.integers(0, 6))
+def test_every_budget_resolves_to_the_oracle_or_raises(spec, m):
+    ground, k, colors = spec
+    coloring = Coloring(ground, k, colors)
+    expected = oracle_homogeneous(colors, ground, k, m)
+    reached = []
+    for budget in range(60):
+        try:
+            found = find_homogeneous(coloring, m, budget=budget)
+        except SearchBudgetExceeded:
+            # a larger budget never loses an answer already reached
+            assert not reached
+            continue
+        assert found == expected
+        reached.append(found)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_product_color_is_row_major_index(data):
@@ -429,6 +496,61 @@ FULL = "1 2 : 0\n1 3 : 1\n2 3 : 0\n"
 def test_load_rejects_invalid_file(text, message):
     with pytest.raises(ValueError, match=message):
         load_coloring(text)
+
+
+# grounds equal as values, in pairs or threes, whose elements print otherwise
+EQUAL_GROUNDS = [
+    ((1, 2), "1", "2"),
+    ((1.0, 2.0), "1.0", "2.0"),
+    ((True, 2), "True", "2"),
+    ((0, 1), "0", "1"),
+    ((0.0, 1), "0.0", "1"),
+    ((-0.0, 1), "-0.0", "1"),
+]
+
+
+@pytest.mark.parametrize("step", [1, -1], ids=["forward", "reversed"])
+def test_equal_grounds_that_print_otherwise_dump_as_written(step):
+    for ground, a, b in EQUAL_GROUNDS[::step]:
+        singles = {frozenset({ground[0]}): 0, frozenset({ground[1]}): 1}
+        coloring = Coloring(ground, 1, singles)
+        assert dump_coloring(coloring) == f"ground: {a} {b}\nk: 1\n{a} : 0\n{b} : 1\n"
+        assert [repr(x) for s in coloring.colors for x in s] == [a, b]
+        pair = Coloring(ground, 2, {frozenset(ground): 3})
+        assert dump_coloring(pair) == f"ground: {a} {b}\nk: 2\n{a} {b} : 3\n"
+
+
+def test_loaded_colorings_share_no_table():
+    text = dump_coloring(pentagon_coloring())
+    first, second = load_coloring(text), load_coloring(text)
+    first.table[0] = 7
+    assert dump_coloring(first) != text
+    assert second.table == load_coloring(text).table
+    assert dump_coloring(second) == text
+
+
+def test_kept_subset_tables_stay_under_their_bound():
+    # ramsey._subsets keeps under 8 MiB of subset tables, whatever shapes
+    # go through it
+    bound = 8 << 20
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for i in range(100):
+            # 990 pairs of 20-character ints: near the largest kept shape
+            low = -(1 << 63) + 45 * i
+            coloring = constant_coloring(range(low, low + 45), 2)
+            dump_coloring(load_coloring(dump_coloring(coloring)))
+        del coloring
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+        assert kept < bound
+        # 44850 pairs, above the kept size: built for the call, not kept
+        load_coloring(dump_coloring(constant_coloring(range(300), 2)))
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] < kept + (1 << 16)
+    finally:
+        tracemalloc.stop()
 
 
 def test_pentagon_file_is_byte_stable():
