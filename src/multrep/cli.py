@@ -167,10 +167,10 @@ def cmd_ramsey(args) -> int:
 
 def cmd_partitions(args) -> int:
     parts = squarefree_map.factorizations_as_partitions(args.q, args.h, cap=args.cap)
-    rows = [
+    rows = (  # read only by text and csv
         [";".join(" ".join(str(p) for p in block) for block in t)]
         for t in parts
-    ]
+    )
     if args.format == "json":
         print(
             json.dumps(

@@ -18,7 +18,7 @@ import heapq
 import math
 import re
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
@@ -30,8 +30,8 @@ MAX_INT = 2**63 - 1
 # is_prime and factorize read the smallest-prime-factor sieve below this
 SIEVE_LIMIT = 1 << 20
 
-# prime_index grows the sieve up to p; a process that grows it to 2^22
-# peaks at about 76 MB resident
+# prime_index grows the sieve up to p; counting fundamental:h=2 at 2 * 4194301
+# grows it to 2^22, at a peak of 67 MB (getrusage max RSS, Python 3.11)
 PRIME_INDEX_LIMIT = 1 << 22
 
 # Miller-Rabin with these bases decides every n < 3.3e24 (Sorenson and
@@ -50,8 +50,7 @@ DEFAULT_ELEMENT_CAP = 1_000_000
 # ---------------------------------------------------------------------------
 
 _spf: array[int] = array("I")  # smallest prime factor table, grown on demand
-_primes: list[int] = []
-_prime_index: dict[int, int] = {}
+_primes: list[int] = []  # the primes the sieve covers, ascending
 
 
 def _ensure_sieve(limit: int) -> None:
@@ -60,7 +59,7 @@ def _ensure_sieve(limit: int) -> None:
 
     _spf is an array of 4-byte entries: _spf[n] == n for 1 and for each
     prime, the smallest prime factor of every composite n, and 0 at 0."""
-    global _spf, _primes, _prime_index
+    global _spf, _primes
     if limit < len(_spf):
         return
     limit = max(limit, min(2 * len(_spf), PRIME_INDEX_LIMIT - 1), 1 << 16)
@@ -80,13 +79,12 @@ def _ensure_sieve(limit: int) -> None:
         spf[p * p :: p] = array("I", [p]) * len(range(p * p, limit + 1, p))
     _spf = spf
     _primes = primes
-    _prime_index = dict(zip(primes, range(1, len(primes) + 1)))
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality for n <= 2^63-1: a sieve lookup below SIEVE_LIMIT,
-    deterministic Miller-Rabin above it.  Raises FactorizationLimitError
-    above 64-bit range."""
+    """Exact primality for n <= 2^63-1: a sieve lookup below SIEVE_LIMIT
+    or the sieve's size if grown past it, deterministic Miller-Rabin
+    above.  Raises FactorizationLimitError above 64-bit range."""
     if n < 2:
         return False
     if n < len(_spf):
@@ -132,19 +130,19 @@ def primes_up_to(n: int) -> list[int]:
 def prime_index(p: int) -> int:
     """1-based index of the prime p (prime_index(2) == 1).
 
-    Read from the sieve, which this grows up to p; raises
-    ResourceLimitError for p >= PRIME_INDEX_LIMIT rather than outgrow
-    memory, and ValueError when p is not prime.
+    Found by bisection in the sieve's sorted primes, which this grows up
+    to p; raises ResourceLimitError for p >= PRIME_INDEX_LIMIT rather
+    than outgrow memory, and ValueError when p is not prime.
     """
     if p >= PRIME_INDEX_LIMIT:
         raise ResourceLimitError(
             f"the index of {p} needs a sieve beyond {PRIME_INDEX_LIMIT}"
         )
     _ensure_sieve(p)
-    try:
-        return _prime_index[p]
-    except KeyError:
-        raise ValueError(f"{p} is not prime") from None
+    i = bisect_left(_primes, p)
+    if i < len(_primes) and _primes[i] == p:
+        return i + 1
+    raise ValueError(f"{p} is not prime")
 
 
 def nth_prime(k: int) -> int:

@@ -344,14 +344,15 @@ def _find_pair_homogeneous(coloring: Coloring, m: int, budget: int, positions):
     tried first, and the branch ends when the chosen count plus the
     candidates' popcount falls below m.  Each branch tried is one the
     frame search tries too, in the same order, so the answer is the same
-    and no more positions are tried.
+    and no more positions are tried.  rows[i], built when position i is
+    first chosen and kept to the end, maps each color to the mask of the
+    later positions paired with i in it: about (colors) * n/8 bytes a row,
+    at most C(n, 2) <= TABLE_CAP masks, most when each pair has its own color.
     """
     ground = coloring.ground
     table = coloring.table
     n = len(ground)
     first = _rank_weights(n, 2)[0]
-    # rows[i]: {color: mask of the j > i whose pair with i has that color},
-    # built the first time position i is chosen
     rows = [None] * len(positions)
 
     def row(i: int) -> dict:

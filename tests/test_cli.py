@@ -187,6 +187,22 @@ def test_partitions_command(capsys):
     ]
 
 
+def test_partitions_json_and_csv_list_the_same_partitions(capsys):
+    q = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19
+    code, out, _ = run(capsys, "partitions", "--q", str(q), "--h", "3", "--format", "json")
+    assert code == 0
+    listed = json.loads(out)
+    code, out, _ = run(capsys, "partitions", "--q", str(q), "--h", "3", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["blocks"]
+    assert [
+        [[int(p) for p in block.split()] for block in row.split(";")]
+        for (row,) in rows[1:]
+    ] == listed
+    assert len(listed) == 3**8
+
+
 def test_correspond_command(capsys):
     code, out, _ = run(
         capsys, "correspond", "--system", "s-inf:h=2,s=2", "--q", "30",

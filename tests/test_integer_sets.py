@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -173,7 +174,6 @@ def test_nth_prime_reaches_the_last_prime_below_the_cap(
     # a fresh sieve, restored afterwards so that no other test holds 2^22
     monkeypatch.setattr(integer_sets, "_spf", [])
     monkeypatch.setattr(integer_sets, "_primes", [])
-    monkeypatch.setattr(integer_sets, "_prime_index", {})
     if grown_by_prime_index:
         p = sympy.prevprime(3 * 10**6)
         assert prime_index(p) == sympy.primepi(p)
@@ -340,7 +340,6 @@ def test_multiplicative_kinds(d, multiplicative):
 def test_sieve_matches_plain_sieve(monkeypatch):
     monkeypatch.setattr(integer_sets, "_spf", array("I"))
     monkeypatch.setattr(integer_sets, "_primes", [])
-    monkeypatch.setattr(integer_sets, "_prime_index", {})
     # a first build, then growth to an odd limit past the doubling
     for limit in (1 << 16, (1 << 17) + 3):
         integer_sets._ensure_sieve(limit)
@@ -353,9 +352,7 @@ def test_sieve_matches_plain_sieve(monkeypatch):
         primes = [n for n in range(2, limit + 1) if spf[n] == n]
         assert list(integer_sets._spf) == spf
         assert integer_sets._primes == primes
-        assert integer_sets._prime_index == {
-            p: i + 1 for i, p in enumerate(primes)
-        }
+        assert [prime_index(p) for p in primes] == list(range(1, len(primes) + 1))
     # callers compare prime lists with lists, which an array never equals
     assert type(primes_up_to(100)) is list
 
@@ -365,12 +362,51 @@ def test_sieve_to_2_20_stays_compact(monkeypatch):
     # 14 MB
     monkeypatch.setattr(integer_sets, "_spf", array("I"))
     monkeypatch.setattr(integer_sets, "_primes", [])
-    monkeypatch.setattr(integer_sets, "_prime_index", {})
     tracemalloc.start()
     try:
         integer_sets._ensure_sieve(1 << 20)
         peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert len(integer_sets._spf) == (1 << 20) + 1
     assert peak < 20 * 2**20
+    # the factor array and the sorted primes keep about 7.7 MB; a
+    # prime -> index dict as well would keep 13 MB
+    assert kept < 10 * 2**20
+
+
+def test_prime_index_matches_primepi_before_and_after_the_sieve_grows(
+    monkeypatch,
+):
+    monkeypatch.setattr(integer_sets, "_spf", array("I"))
+    monkeypatch.setattr(integer_sets, "_primes", [])
+    integer_sets._ensure_sieve(1 << 20)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def agrees(top, data):
+        # the bisection's edges: below the first prime, the last prime
+        # and the composites between it and the end of the sieve
+        last = integer_sets._primes[-1]
+        edges = [-3, -1, 0, 1, 2, 3, 4, last, last + 1, top]
+        p = data.draw(
+            st.one_of(
+                st.integers(-3, top),
+                st.integers(3, top).map(sympy.prevprime),
+                st.sampled_from(edges),
+            )
+        )
+        if sympy.isprime(p):
+            assert prime_index(p) == sympy.primepi(p)
+        else:
+            with pytest.raises(ValueError, match="is not prime"):
+                prime_index(p)
+
+    agrees(1 << 20)
+    assert len(integer_sets._spf) == (1 << 20) + 1
+    p = sympy.nextprime(1 << 20)
+    assert prime_index(p) == sympy.primepi(p)
+    assert len(integer_sets._spf) > 1 << 21
+    agrees(1 << 21)
