@@ -53,15 +53,23 @@ _spf: array[int] = array("I")  # smallest prime factor table, grown on demand
 _primes: list[int] = []  # the primes the sieve covers, ascending
 
 
-def _ensure_sieve(limit: int) -> None:
+def _ensure_sieve(
+    limit: int, refusal: str = "the primes up to %d need", arg: int | None = None
+) -> None:
     """Grow the sieve to cover [0, limit], at least doubling it; doubling
-    alone never takes it to PRIME_INDEX_LIMIT.
+    alone never takes it to PRIME_INDEX_LIMIT, and a limit at or above it
+    raises ResourceLimitError before anything grows.  The error reads
+    refusal % arg (arg defaults to limit), then "a sieve beyond" the cap;
+    it is worded only when raised, as prime_index calls this every time.
 
     _spf is an array of 4-byte entries: _spf[n] == n for 1 and for each
     prime, the smallest prime factor of every composite n, and 0 at 0."""
     global _spf, _primes
     if limit < len(_spf):
         return
+    if limit >= PRIME_INDEX_LIMIT:
+        what = refusal % (limit if arg is None else arg)
+        raise ResourceLimitError(f"{what} a sieve beyond {PRIME_INDEX_LIMIT}")
     limit = max(limit, min(2 * len(_spf), PRIME_INDEX_LIMIT - 1), 1 << 16)
     root = math.isqrt(limit)
     prime = bytearray([1]) * (limit + 1)
@@ -119,10 +127,6 @@ def primes_up_to(n: int) -> list[int]:
     rather than outgrow memory."""
     if n < 2:
         return []
-    if n >= PRIME_INDEX_LIMIT:
-        raise ResourceLimitError(
-            f"the primes up to {n} need a sieve beyond {PRIME_INDEX_LIMIT}"
-        )
     _ensure_sieve(n)
     return _primes[: bisect_right(_primes, n)]
 
@@ -134,11 +138,7 @@ def prime_index(p: int) -> int:
     to p; raises ResourceLimitError for p >= PRIME_INDEX_LIMIT rather
     than outgrow memory, and ValueError when p is not prime.
     """
-    if p >= PRIME_INDEX_LIMIT:
-        raise ResourceLimitError(
-            f"the index of {p} needs a sieve beyond {PRIME_INDEX_LIMIT}"
-        )
-    _ensure_sieve(p)
+    _ensure_sieve(p, "the index of %d needs")
     i = bisect_left(_primes, p)
     if i < len(_primes) and _primes[i] == p:
         return i + 1
@@ -152,13 +152,10 @@ def nth_prime(k: int) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     while len(_primes) < k:
-        # the k-th prime exceeds k ln k (Rosser 1939), so such k are
-        # refused before the sieve grows
-        if len(_spf) >= PRIME_INDEX_LIMIT or k * math.log(k) >= PRIME_INDEX_LIMIT:
-            raise ResourceLimitError(
-                f"the prime of index {k} needs a sieve beyond {PRIME_INDEX_LIMIT}"
-            )
-        _ensure_sieve(len(_spf))
+        # the k-th prime exceeds k ln k (Rosser 1939), so the sieve must
+        # reach that far and past its current end
+        target = max(int(k * math.log(k)), len(_spf))
+        _ensure_sieve(target, "the prime of index %d needs", k)
     return _primes[k - 1]
 
 
@@ -229,10 +226,8 @@ def factorize(n: int) -> dict[int, int]:
     while cofactors:
         m = cofactors.pop()
         if m < SIEVE_LIMIT:
-            while m > 1:
-                p = _spf[m]
-                m //= p
-                factors[p] = factors.get(p, 0) + 1
+            for p, e in factorize(m).items():
+                factors[p] = factors.get(p, 0) + e
         elif is_prime(m):
             factors[m] = factors.get(m, 0) + 1
         else:

@@ -176,20 +176,25 @@ class Coloring:
         if table is None or len(colors) != size:
             missing = sum(s not in colors for s in subsets.frozensets())
             _require_total(self.k, missing, len(colors) - (size - missing))
-        vars(self).update(vars(self._from_table(ground, self.k, table)))
+        self._fill(ground, self.k, table)
 
     @classmethod
     def _from_table(cls, ground: tuple[int, ...], k: int, table: list) -> Coloring:
         """A coloring of a ground shaped by _shape, whose table lists a
         color for every k-subset in rank order."""
+        self = cls.__new__(cls)
+        self._fill(ground, k, table)
+        return self
+
+    def _fill(self, ground: tuple[int, ...], k: int, table: list) -> None:
+        """Set every field from a shaped ground and a rank-order table;
+        raises ValueError for a negative color."""
         if table and min(table) < 0:
             raise ValueError("color indices must be >= 0")
-        self = cls.__new__(cls)
         self.ground = ground
         self.k = k
         self.table = table
         self.max_color = max(table, default=0)
-        return self
 
     @property
     def colors(self) -> Mapping[frozenset, int]:

@@ -25,7 +25,7 @@ tails, never a limit.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import compress
 from math import prod
 
@@ -58,12 +58,10 @@ class RepWitness:
     truncated: bool
 
     def to_record(self) -> dict:
-        return {
-            "n": self.n,
-            "count": self.count,
-            "tuples": [list(t) for t in self.tuples],
-            "truncated": self.truncated,
-        }
+        """The CLI record: the fields in order, each tuple as a list.  The
+        tuples are kept out of asdict, which would deep-copy every one."""
+        listed = [list(t) for t in self.tuples]
+        return asdict(replace(self, tuples=())) | {"tuples": listed}
 
 
 @dataclass(frozen=True)
@@ -76,14 +74,8 @@ class WindowStats:
     argmax: int
 
     def to_record(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "min_count": self.min_count,
-            "argmin": self.argmin,
-            "max_count": self.max_count,
-            "argmax": self.argmax,
-        }
+        """The CLI record: the fields in order."""
+        return asdict(self)
 
 
 def _spread(rows) -> list:

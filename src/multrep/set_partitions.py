@@ -10,7 +10,7 @@ integer, which verify_correspondence checks from both sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import compress
 
 from .errors import ResourceLimitError
@@ -201,12 +201,8 @@ class CorrespondenceReport:
     equal: bool
 
     def to_record(self) -> dict:
-        return {
-            "q": self.q,
-            "system_count": self.system_count,
-            "cover_count": self.cover_count,
-            "equal": self.equal,
-        }
+        """The CLI record: the fields in order."""
+        return asdict(self)
 
 
 def verify_correspondence(

@@ -69,6 +69,24 @@ def test_window_command(capsys):
     assert record["min_count"] == 1 and record["max_count"] == 3
 
 
+# Each command's stdout, pinned apart from the record dataclasses that
+# produce it: a renamed, added or reordered field changes these bytes
+GOLDEN = {
+    "cli_count": ("count", "--system", "fundamental:h=2", "--n", "360"),
+    "cli_window": ("window", "--system", "one-t:h=2,t=3", "--lo", "2", "--hi", "64"),
+    "cli_correspond": ("correspond", "--system", "s-inf:h=2,s=2", "--q", "30"),
+}
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_records_match_their_golden_files(capsys, name, fmt, suffix):
+    code, out, err = run(capsys, *GOLDEN[name], "--format", fmt)
+    golden = Path(__file__).parent / "data" / f"{name}.{suffix}"
+    assert (code, err) == (0, "")
+    assert out == golden.read_text()
+
+
 def test_window_csv(capsys):
     code, out, _ = run(
         capsys, "window", "--system", "fundamental:h=2",

@@ -185,6 +185,45 @@ def test_nth_prime_reaches_the_last_prime_below_the_cap(
     assert len(integer_sets._spf) <= PRIME_INDEX_LIMIT
 
 
+@pytest.mark.parametrize(
+    "call, arg, message",
+    [
+        (primes_up_to, 2**22, "the primes up to 4194304 need a sieve beyond 4194304"),
+        (prime_index, 4194319, "the index of 4194319 needs a sieve beyond 4194304"),
+        (nth_prime, 10**6, "the prime of index 1000000 needs a sieve beyond 4194304"),
+        (nth_prime, 295948, "the prime of index 295948 needs a sieve beyond 4194304"),
+    ],
+)
+def test_each_prime_table_refuses_in_its_own_words(monkeypatch, call, arg, message):
+    monkeypatch.setattr(integer_sets, "_spf", array("I"))
+    monkeypatch.setattr(integer_sets, "_primes", [])
+    with pytest.raises(ResourceLimitError) as exc:
+        call(arg)
+    assert str(exc.value) == message
+    assert len(integer_sets._spf) <= PRIME_INDEX_LIMIT
+
+
+def test_factorize_reads_a_small_cofactor_through_its_sieve_path(monkeypatch):
+    monkeypatch.setattr(integer_sets, "_spf", array("I"))
+    monkeypatch.setattr(integer_sets, "_primes", [])
+    read = []
+    full = integer_sets.factorize
+
+    def spy(n):
+        read.append(n)
+        return full(n)
+
+    # the large path looks factorize up by name, so it calls the spy
+    monkeypatch.setattr(integer_sets, "factorize", spy)
+    n = 1009**2 * 1013
+    assert spy(n) == {1009: 2, 1013: 1}
+    # rho splits n into a prime and a composite below SIEVE_LIMIT, which
+    # the large path hands to the sieve path
+    assert any(
+        m < integer_sets.SIEVE_LIMIT and not is_prime(m) for m in read[1:]
+    ), read
+
+
 # sympy is the oracle here only; the library imports nothing outside the
 # standard library
 @settings(max_examples=300, deadline=None)

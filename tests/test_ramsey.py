@@ -583,6 +583,34 @@ def test_negative_k_is_rejected_alike(build):
         build()
 
 
+def test_every_route_to_a_coloring_fills_the_same_fields():
+    rng = random.Random(19)
+    for _ in range(200):
+        ground = rng.sample(range(-20, 40), rng.randrange(0, 8))
+        k = rng.randrange(0, 4)
+        subsets = [frozenset(s) for s in combinations(ground, k)]
+        colors = {s: rng.randrange(rng.randrange(1, 5)) for s in subsets}
+        c = Coloring(ground, k, colors)
+        assert c == load_coloring(dump_coloring(c)) == product_coloring([c])
+        assert c.ground == tuple(sorted(ground)) and c.k == k
+        assert c.max_color == max(colors.values(), default=0)
+
+
+def test_a_negative_color_is_refused_alike_by_both_routes():
+    ground = (1, 2, 3)
+    colors = {frozenset(s): 0 for s in combinations(ground, 2)}
+    colors[frozenset({1, 3})] = -1
+    errors = []
+    for build in (
+        lambda: Coloring(ground, 2, colors),
+        lambda: load_coloring("ground: 1 2 3\nk: 2\n1 2 : 0\n1 3 : -1\n2 3 : 0\n"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            build()
+        errors.append(str(exc.value))
+    assert errors == ["color indices must be >= 0"] * 2
+
+
 # C(100, 10) is about 1.7e13 k-subsets
 OVERSIZE_FILE = "ground: " + " ".join(map(str, range(1, 101))) + "\nk: 10\n"
 
