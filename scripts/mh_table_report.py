@@ -5,6 +5,7 @@ the verification scan for each witnessing construction."""
 import argparse
 
 from multrep import INFINITE, build, mh_table, verify
+from multrep.catalog import KEYS
 
 
 def main():
@@ -15,12 +16,9 @@ def main():
     args = parser.parse_args()
 
     for s, t, name in mh_table(args.h, args.t_cutoff):
-        kwargs = {}
-        if name == "one-t":
-            kwargs["t"] = t
-        if name == "s-inf":
-            kwargs["s"] = s
-        construction = build(name, args.h, **kwargs)
+        row = {"s": s, "t": t}
+        keys = {key: row[key] for key in KEYS[name] if key in row}
+        construction = build(name, args.h, **keys)
         report = verify(construction, args.scan_max)
         t_disp = "inf" if t == INFINITE else t
         status = "ok" if report.ok else "MISMATCH"

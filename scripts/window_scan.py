@@ -7,7 +7,7 @@ import csv
 import sys
 
 from multrep import scan_counts
-from multrep.cli import parse_system_spec
+from multrep.cli import ConfigError, parse_system_spec
 from multrep.repcount import summarize_window
 
 
@@ -29,7 +29,10 @@ def main():
     if args.lo < 1 or args.hi < lo:
         parser.error("need 1 <= lo <= hi and hi >= 2")
 
-    system = parse_system_spec(args.system)
+    try:
+        system = parse_system_spec(args.system)
+    except ConfigError as exc:
+        parser.error(str(exc))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["n", "count"])
     counts = written(writer, scan_counts(system, args.lo, args.hi))

@@ -39,7 +39,9 @@ from .set_partitions import multinomial
 
 INFINITE = math.inf
 
-NAMES = ("fundamental", "one-t", "one-inf", "s-inf")
+# the keys each construction takes; build gives h the default 2
+KEYS = {"fundamental": ("h",), "one-t": ("h", "t"), "one-inf": ("h",), "s-inf": ("h", "s")}
+NAMES = tuple(KEYS)
 
 
 @dataclass(frozen=True)
@@ -52,9 +54,15 @@ class NamedConstruction:
     claimed: tuple  # (liminf, limsup), limsup possibly INFINITE
 
 
-def build(name: str, h: int, t: int | None = None, s: int | None = None) -> NamedConstruction:
+def build(name: str, h: int = 2, t: int | None = None, s: int | None = None) -> NamedConstruction:
+    """The named construction of order h.  A t or s of None is not given;
+    one that the construction does not take (see KEYS) raises ValueError."""
     if h < 2:
         raise ValueError("h must be >= 2")
+    if name not in KEYS:
+        raise ValueError(f"unknown construction {name!r}")
+    if {key for key, value in (("t", t), ("s", s)) if value is not None} - set(KEYS[name]):
+        raise ValueError(f"{name} takes only {', '.join(KEYS[name])}")
     one = Singleton((1,))
     if name == "fundamental":
         parts = tuple(
@@ -69,12 +77,11 @@ def build(name: str, h: int, t: int | None = None, s: int | None = None) -> Name
     if name == "one-inf":
         parts = (AllNaturals(), PowersOf(2, 0, None)) + (one,) * (h - 2)
         return NamedConstruction(name, h, None, None, MultiplicativeSystem(parts), (1, INFINITE))
-    if name == "s-inf":
-        if s is None or not 2 <= s <= h:
-            raise ValueError("s-inf needs 2 <= s <= h")
-        parts = (AllNaturals(),) + (PrimesWithOne(),) * (s - 1) + (one,) * (h - s)
-        return NamedConstruction(name, h, None, s, MultiplicativeSystem(parts), (s, INFINITE))
-    raise ValueError(f"unknown construction {name!r}")
+    # s-inf
+    if s is None or not 2 <= s <= h:
+        raise ValueError("s-inf needs 2 <= s <= h")
+    parts = (AllNaturals(),) + (PrimesWithOne(),) * (s - 1) + (one,) * (h - s)
+    return NamedConstruction(name, h, None, s, MultiplicativeSystem(parts), (s, INFINITE))
 
 
 def closed_form(construction: NamedConstruction, n: int) -> int:

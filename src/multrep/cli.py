@@ -46,12 +46,10 @@ def parse_system_spec(spec: str) -> MultiplicativeSystem:
         if name in catalog.NAMES:
             items = [item.partition("=") for item in args.split(",")] if args else []
             kv = {key.strip(): int(value) for key, _, value in items}
-            keys = {"h"} | {"one-t": {"t"}, "s-inf": {"s"}}.get(name, set())
-            if len(kv) < len(items) or not kv.keys() <= keys:
-                raise ValueError(f"{name} takes only {', '.join(sorted(keys))}, once each")
-            return catalog.build(
-                name, kv.get("h", 2), t=kv.get("t"), s=kv.get("s")
-            ).system
+            keys = catalog.KEYS[name]
+            if len(kv) < len(items) or not kv.keys() <= set(keys):
+                raise ValueError(f"{name} takes only {', '.join(keys)}, once each")
+            return catalog.build(name, **kv).system
     except (OSError, ValueError) as exc:
         raise ConfigError(f"bad system spec {_cut(spec)!r}: {exc}") from exc
     raise ConfigError(f"bad system spec {_cut(spec)!r}")
@@ -92,7 +90,8 @@ def cmd_window(args) -> int:
 
 
 def cmd_catalog_verify(args) -> int:
-    construction = catalog.build(args.name, args.h, t=args.t, s=args.s)
+    given = {"h": args.h, "t": args.t, "s": args.s}
+    construction = catalog.build(args.name, **{k: v for k, v in given.items() if v is not None})
     report = catalog.verify(
         construction, args.max_n, keep_rows=(args.format == "csv")
     )
@@ -148,8 +147,11 @@ def cmd_witness(args) -> int:
 
 
 def cmd_ramsey(args) -> int:
-    with open(args.coloring) as f:
-        coloring = ramsey.load_coloring(f.read())
+    try:
+        with open(args.coloring) as f:
+            coloring = ramsey.load_coloring(f.read())
+    except OSError as exc:
+        raise ValueError(f"cannot read coloring file {args.coloring!r}: {exc.strerror}") from exc
     found = ramsey.find_homogeneous(coloring, args.m, budget=args.budget)
     if found is None:
         if args.format == "json":
@@ -188,11 +190,7 @@ def cmd_partitions(args) -> int:
 
 def cmd_correspond(args) -> int:
     system = parse_system_spec(args.system)
-    if args.universe:
-        universe = [int(x) for x in args.universe.split(",")]
-    else:
-        universe = list(squarefree_map.phi(args.q))
-    report = set_partitions.verify_correspondence(system, args.q, universe)
+    report = set_partitions.verify_correspondence(system, args.q, squarefree_map.phi(args.q))
     _emit_record(report.to_record(), args.format)
     if not report.equal:
         print("correspondence FAILED", file=sys.stderr)
@@ -225,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("catalog-verify", cmd_catalog_verify, help="check a named construction")
     p.add_argument("--name", choices=catalog.NAMES, required=True)
-    p.add_argument("--h", type=int, default=2)
+    p.add_argument("--h", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--max-n", type=int, default=1000)
@@ -237,10 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("witness", cmd_witness, ("text", "json"), help="search for a high-count integer")
     p.add_argument("--system", required=True)
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--max-n", type=int, default=1_000_000)
-    p.add_argument("--max-candidates", type=int, default=200_000)
+    budget = witness_search.SearchBudget()
+    p.add_argument("--max-n", type=int, default=budget.max_n)
+    p.add_argument("--max-candidates", type=int, default=budget.max_candidates)
     p.add_argument(
-        "--strategy", choices=witness_search.STRATEGIES, default="hybrid"
+        "--strategy", choices=witness_search.STRATEGIES, default=budget.strategy
     )
 
     p = add("ramsey", cmd_ramsey, ("text", "json"), help="monochromatic subset search")
@@ -259,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--system", required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--universe", help="comma-separated prime universe")
 
     return parser
 

@@ -27,24 +27,8 @@ INDEX_CAPACITY = 2**63 - 1
 TABLE_CAP = 1 << 20
 
 
-def _shape(ground, k: int) -> tuple[tuple[int, ...], int]:
-    """The sorted distinct ground of a coloring of k-subsets and its table
-    size C(n, k).  Raises ValueError for k < 0 and ResourceLimitError for
-    a table above TABLE_CAP, before any table is allocated."""
-    ground = tuple(sorted(set(ground)))
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    size = comb(len(ground), k)
-    if size > TABLE_CAP:
-        raise ResourceLimitError(
-            f"a coloring of the {k}-subsets of {len(ground)} elements needs "
-            f"{size} colors, above the cap {TABLE_CAP}"
-        )
-    return ground, size
-
-
 # the subset tables of this many shapes are kept, each of at most
-# _KEPT_SUBSETS subsets; see _subsets
+# _KEPT_SUBSETS subsets; see _shape
 _KEPT_SHAPES = 16
 _KEPT_SUBSETS = 1 << 10
 
@@ -55,9 +39,10 @@ class _Subsets:
     text to rank.  Each view is built afresh when it is read, so a shape
     that is not kept holds nothing once its caller is done with it."""
 
-    def __init__(self, ground: tuple, k: int):
+    def __init__(self, ground: tuple, k: int, size: int):
         self.ground = ground
         self.k = k
+        self.size = size
 
     def frozensets(self):
         return map(frozenset, combinations(self.ground, self.k))
@@ -74,8 +59,8 @@ class _KeptSubsets(_Subsets):
     """The views of a kept shape, each built once and shared by every
     caller, which only reads them."""
 
-    def __init__(self, ground: tuple, k: int):
-        super().__init__(ground, k)
+    def __init__(self, ground: tuple, k: int, size: int):
+        super().__init__(ground, k, size)
         self._frozensets = tuple(super().frozensets())
         self._index = {text: r for r, text in enumerate(super().texts())}
 
@@ -89,14 +74,14 @@ class _KeptSubsets(_Subsets):
         return self._index
 
 
-@lru_cache(maxsize=_KEPT_SHAPES)
-def _kept_subsets(ground: tuple, k: int) -> _KeptSubsets:
-    return _KeptSubsets(ground, k)
+_kept_subsets = lru_cache(maxsize=_KEPT_SHAPES)(_KeptSubsets)
 
 
-def _subsets(ground: tuple, k: int) -> _Subsets:
-    """The subset views of a ground shaped by _shape.  Call it only after
-    _shape, so that a table above TABLE_CAP is refused first.
+def _shape(ground, k: int) -> _Subsets:
+    """The subset views of a coloring of the k-subsets of ground, which
+    carry the sorted distinct ground, k and the table size C(n, k).
+    Raises ValueError for k < 0 and ResourceLimitError for a table above
+    TABLE_CAP, before any view is built.
 
     The views of the last _KEPT_SHAPES small shapes are kept and shared.
     A shape is small when it has at most _KEPT_SUBSETS k-subsets, twice
@@ -109,15 +94,23 @@ def _subsets(ground: tuple, k: int) -> _Subsets:
     under 8 MiB whatever shapes go through it.  Any other shape gets
     views built for the call, and keeps nothing.
     """
+    ground = tuple(sorted(set(ground)))
+    if k < 0:
+        raise ValueError("k must be >= 0")
     size = comb(len(ground), k)
+    if size > TABLE_CAP:
+        raise ResourceLimitError(
+            f"a coloring of the {k}-subsets of {len(ground)} elements needs "
+            f"{size} colors, above the cap {TABLE_CAP}"
+        )
     if (
         size <= _KEPT_SUBSETS
         and size * k <= 2 * _KEPT_SUBSETS
         and set(map(type, ground)) <= {int}
         and (not ground or -(1 << 63) <= ground[0] and ground[-1] < 1 << 63)
     ):
-        return _kept_subsets(ground, k)
-    return _Subsets(ground, k)
+        return _kept_subsets(ground, k, size)
+    return _Subsets(ground, k, size)
 
 
 @lru_cache(maxsize=256)
@@ -162,21 +155,18 @@ class Coloring:
     max_color: int
 
     def __init__(self, ground, k: int, colors: Mapping[frozenset, int]):
-        self.ground = ground
-        self.k = k
-        self.__post_init__(colors)
+        self.__post_init__(ground, k, colors)
 
-    def __post_init__(self, colors: Mapping[frozenset, int]):
-        ground, size = _shape(self.ground, self.k)
-        subsets = _subsets(ground, self.k)
+    def __post_init__(self, ground, k: int, colors: Mapping[frozenset, int]):
+        subsets = _shape(ground, k)
         try:
             table = list(map(colors.__getitem__, subsets.frozensets()))
         except KeyError:
             table = None
-        if table is None or len(colors) != size:
+        if table is None or len(colors) != subsets.size:
             missing = sum(s not in colors for s in subsets.frozensets())
-            _require_total(self.k, missing, len(colors) - (size - missing))
-        self._fill(ground, self.k, table)
+            _require_total(k, missing, len(colors) - (subsets.size - missing))
+        self._fill(subsets.ground, k, table)
 
     @classmethod
     def _from_table(cls, ground: tuple[int, ...], k: int, table: list) -> Coloring:
@@ -199,7 +189,7 @@ class Coloring:
     @property
     def colors(self) -> Mapping[frozenset, int]:
         """Read-only {frozenset k-subset: color} view built from the table."""
-        subsets = _subsets(self.ground, self.k).frozensets()
+        subsets = _shape(self.ground, self.k).frozensets()
         return MappingProxyType(dict(zip(subsets, self.table)))
 
     def positions(self, subset) -> list[int]:
@@ -235,14 +225,14 @@ class HomogeneousChain:
 
 
 def constant_coloring(ground, k: int, color: int = 0) -> Coloring:
-    ground, size = _shape(ground, k)
-    return Coloring._from_table(ground, k, [color] * size)
+    subsets = _shape(ground, k)
+    return Coloring._from_table(subsets.ground, k, [color] * subsets.size)
 
 
 def random_coloring(ground, k: int, num_colors: int, rng) -> Coloring:
-    ground, size = _shape(ground, k)
-    table = [rng.randrange(num_colors) for _ in range(size)]
-    return Coloring._from_table(ground, k, table)
+    subsets = _shape(ground, k)
+    table = [rng.randrange(num_colors) for _ in range(subsets.size)]
+    return Coloring._from_table(subsets.ground, k, table)
 
 
 def homogeneous_color(coloring: Coloring, subset) -> int | None:
@@ -537,7 +527,7 @@ def doubly_iterated_chain(
 def dump_coloring(coloring: Coloring) -> str:
     ground, k = coloring.ground, coloring.k
     lines = ["ground: " + " ".join(map(str, ground)), f"k: {k}"]
-    texts = _subsets(ground, k).texts()
+    texts = _shape(ground, k).texts()
     lines += [f"{s} : {col}" for s, col in zip(texts, coloring.table)]
     return "\n".join(lines) + "\n"
 
@@ -572,9 +562,9 @@ def load_coloring(text: str) -> Coloring:
     # rows are read once both headers are known, wherever they sit
     if ground is None or k is None:
         raise ValueError("coloring file needs 'ground:' and 'k:' lines")
-    ground, size = _shape(ground, k)
-    index = _subsets(ground, k).index()
-    table = [None] * size
+    subsets = _shape(ground, k)
+    index = subsets.index()
+    table = [None] * subsets.size
     extraneous = set()
     for key, right in rows:
         r = index.get(key)
@@ -591,7 +581,7 @@ def load_coloring(text: str) -> Coloring:
         else:
             table[r] = int(right)
     _require_total(k, table.count(None), len(extraneous))
-    return Coloring._from_table(ground, k, table)
+    return Coloring._from_table(subsets.ground, k, table)
 
 
 def _duplicate(key: str) -> ValueError:

@@ -14,7 +14,7 @@ for the others it need not be.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 
 from .integer_sets import MultiplicativeSystem, membership, primes_up_to
 from .repcount import RepWitness, _counts, count_system_reps
@@ -72,13 +72,12 @@ def _squarefree_products(ps: list[int], k: int, max_n: int) -> list[int]:
 
 def _squarefree_rich(max_n: int):
     ps = primes_up_to(max_n)
-    k = 1
-    while True:
+    yield from ps
+    for k in count(2):
         group = _squarefree_products(ps, k, max_n)
         if not group:
             return
         yield from group
-        k += 1
 
 
 def candidate_stream(strategy: str, max_n: int):

@@ -14,6 +14,7 @@ from multrep import (
     primorials,
     verify,
 )
+from multrep.catalog import KEYS, NAMES
 from multrep.integer_sets import nth_prime
 
 from conftest import oracle_count_reps
@@ -51,6 +52,38 @@ def test_build_parameter_ranges():
         build("s-inf", 2, s=3)
     with pytest.raises(ValueError):
         build("nope", 2)
+
+
+# the keys each construction takes besides h, with a value it accepts
+OWN_KEYS = {"fundamental": {}, "one-t": {"t": 2}, "one-inf": {}, "s-inf": {"s": 2}}
+
+
+def test_names_come_from_the_key_table():
+    assert NAMES == tuple(KEYS) == tuple(OWN_KEYS)
+    assert {name: set(keys) for name, keys in KEYS.items()} == {
+        name: {"h", *own} for name, own in OWN_KEYS.items()
+    }
+
+
+@pytest.mark.parametrize("key", ["t", "s"])
+@pytest.mark.parametrize("name", list(OWN_KEYS))
+def test_build_refuses_a_key_its_construction_does_not_take(name, key):
+    own = OWN_KEYS[name]
+    if key in own:
+        assert getattr(build(name, 3, **{**own, key: 3}), key) == 3
+    else:
+        with pytest.raises(ValueError, match=f"^{name} takes only h"):
+            build(name, 3, **own, **{key: 2})
+        # None means the key is not given
+        assert build(name, 3, **own, **{key: None}) == build(name, 3, **own)
+
+
+@pytest.mark.parametrize("name", list(OWN_KEYS))
+def test_build_takes_every_key_with_none_for_one_not_given(name):
+    own = OWN_KEYS[name]
+    assert build(name, 3, t=own.get("t"), s=own.get("s")) == build(name, 3, **own)
+    # h defaults to 2
+    assert build(name, **own) == build(name, 2, **own)
 
 
 @pytest.mark.parametrize(

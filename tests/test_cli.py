@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from multrep import (
+    SearchBudget,
     build,
     count_system_reps,
     dump_coloring,
@@ -118,6 +119,25 @@ def test_catalog_verify_csv_matches_library(capsys):
     assert all(line.endswith(",1") for line in lines[1:])
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("--name", "fundamental", "--t", "3"), "error: fundamental takes only h\n"),
+        (("--name", "one-t", "--h", "2", "--t", "2", "--s", "3"),
+         "error: one-t takes only h, t\n"),
+        (("--name", "s-inf", "--h", "3", "--s", "2", "--t", "1"),
+         "error: s-inf takes only h, s\n"),
+    ],
+)
+def test_catalog_verify_refuses_a_key_its_construction_does_not_take(capsys, argv, err):
+    assert run(capsys, "catalog-verify", *argv) == (2, "", err)
+
+
+def test_catalog_verify_gives_h_the_default_of_build(capsys):
+    argv = ("catalog-verify", "--name", "s-inf", "--s", "2", "--format", "json")
+    assert run(capsys, *argv) == run(capsys, *argv, "--h", "2")
+
+
 def test_mh_table_command(capsys):
     code, out, _ = run(capsys, "mh-table", "--h", "2", "--t-cutoff", "3")
     assert code == 0
@@ -160,6 +180,14 @@ def test_ramsey_command_rejects_invalid_file(capsys, tmp_path, rows, err):
     assert run(capsys, "ramsey", "--coloring", str(path), "--m", "2") == (2, "", err)
 
 
+def test_ramsey_command_refuses_an_unreadable_coloring_file(capsys, tmp_path):
+    for path in (tmp_path / "missing.txt", tmp_path):
+        code, out, err = run(capsys, "ramsey", "--coloring", str(path), "--m", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read coloring file {str(path)!r}: ")
+        assert err.count("\n") == 1
+
+
 def test_ramsey_command_refuses_an_oversize_table(capsys, tmp_path):
     path = tmp_path / "oversize.txt"
     path.write_text("ground: " + " ".join(map(str, range(1, 101))) + "\nk: 10\n")
@@ -184,6 +212,14 @@ def test_csv_is_refused_by_commands_that_write_records(capsys, argv):
     code, out, err = run(capsys, *argv, "--format", "csv")
     assert (code, out) == (2, "")
     assert "invalid choice: 'csv'" in err
+
+
+def test_witness_defaults_are_the_default_budget():
+    args = build_parser().parse_args(["witness", "--system", "fundamental", "--target", "2"])
+    budget = SearchBudget()
+    assert (args.max_candidates, args.max_n, args.strategy) == (
+        budget.max_candidates, budget.max_n, budget.strategy,
+    )
 
 
 def test_witness_command(capsys):
@@ -309,13 +345,13 @@ def test_each_shorthand_takes_its_own_keys():
     assert parse_system_spec("s-inf:s=2,h=3") == build("s-inf", 3, s=2).system
 
 
-def test_correspond_rejects_a_universe_that_is_not_prime(capsys):
+def test_correspond_takes_no_universe(capsys):
     code, out, err = run(
-        capsys, "correspond", "--system", "s-inf:h=2,s=2", "--q", "6",
-        "--universe", "2,3,4",
+        capsys, "correspond", "--system", "s-inf:h=2,s=2", "--q", "30",
+        "--universe", "2,3,5",
     )
     assert (code, out) == (2, "")
-    assert "4 is not prime" in err
+    assert "unrecognized arguments: --universe 2,3,5" in err
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -406,22 +442,13 @@ def test_a_prime_class_element_above_64_bits_is_a_bad_spec(capsys):
     spec = f"parts:SmoothOver(ExplicitList({HUGE}));AllNaturals"
     for argv in (
         ("count", "--system", spec, "--n", "6"),
-        ("correspond", "--system", spec, "--q", "6", "--universe", "2,3"),
+        ("correspond", "--system", spec, "--q", "6"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: bad system spec")
         assert f"{HUGE} exceeds 64-bit range" in err
         assert "Traceback" not in err
-
-
-def test_a_universe_element_above_64_bits_exits_2(capsys):
-    code, out, err = run(
-        capsys, "correspond", "--system", "parts:AllNaturals;AllNaturals",
-        "--q", "6", "--universe", f"2,3,{HUGE}",
-    )
-    assert (code, out) == (2, "")
-    assert err == f"error: {HUGE} exceeds 64-bit range\n"
 
 
 @pytest.mark.parametrize(

@@ -530,7 +530,7 @@ def test_loaded_colorings_share_no_table():
 
 
 def test_kept_subset_tables_stay_under_their_bound():
-    # ramsey._subsets keeps under 8 MiB of subset tables, whatever shapes
+    # ramsey._shape keeps under 8 MiB of subset tables, whatever shapes
     # go through it
     bound = 8 << 20
     gc.collect()

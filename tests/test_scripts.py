@@ -33,3 +33,12 @@ def test_mh_table_report_script():
     assert done.returncode == 0, done.stderr
     rows = [line for line in done.stdout.splitlines() if line.startswith("(")]
     assert rows and all(": ok;" in row for row in rows)
+
+
+def test_window_scan_script_reports_a_bad_spec_as_a_usage_error():
+    for spec in ("bogus", "s-inf:h=3,s=2,t=1"):
+        done = run_script("window_scan.py", "--system", spec, "--hi", "60")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert f"error: bad system spec {spec!r}" in done.stderr
+        assert "Traceback" not in done.stderr

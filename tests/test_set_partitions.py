@@ -338,6 +338,12 @@ def test_image_family_rejects_a_universe_that_is_not_prime():
         image_family(AllNaturals(), [2, 4])
 
 
+def test_image_family_rejects_a_universe_element_above_64_bits():
+    huge = 99999999999999999999  # above 2^63 - 1
+    with pytest.raises(ValueError, match=f"^{huge} exceeds 64-bit range$"):
+        image_family(AllNaturals(), [2, 3, huge])
+
+
 def test_image_family_uses_base_membership():
     fam = image_family(PrimesWithOne(), [2, 3, 5])
     assert fam.contains_block(frozenset())          # product 1

@@ -19,7 +19,7 @@ from multrep import (
 from multrep.cli import parse_system_spec
 from multrep.witness_search import STRATEGIES
 
-from conftest import naive_divisors
+from conftest import naive_divisors, sieve_squarefree
 
 
 def test_exhaustive_stream():
@@ -175,3 +175,52 @@ def test_witness_streams_never_list_members():
         budget = SearchBudget(max_n=10**6, strategy=strategy)
         outcome = find_witness(system, 9, budget)
         assert (outcome.witness.n, outcome.witness.count) == (30, 13)
+
+
+def distinct_prime_counts(limit):
+    """omega[n], the number of distinct primes dividing n, for n <= limit."""
+    omega = [0] * (limit + 1)
+    for p in range(2, limit + 1):
+        if omega[p] == 0:
+            for q in range(p, limit + 1, p):
+                omega[q] += 1
+    return omega
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 3, 30, 30030, 10**5])
+def test_squarefree_rich_stream_matches_a_brute_force_order(max_n):
+    omega = distinct_prime_counts(max_n)
+    expected = sorted(
+        (n for n in sieve_squarefree(max_n) if n >= 2), key=lambda n: (omega[n], n)
+    )
+    assert list(candidate_stream("squarefree-rich", max_n)) == expected
+
+
+@pytest.mark.parametrize(
+    "spec,target,max_n,max_candidates,outcomes",
+    [
+        ("parts:AllNaturals;AllNaturals;AllNaturals", 1000, 10**5, 200_000, {
+            "exhaustive": ((10080, 1134), 10079, 1134, 10080),
+            "squarefree-rich": (None, 60793, 729, 30030),
+            "hybrid": ((10080, 1134), 17686, 1134, 10080),
+        }),
+        ("s-inf:h=4,s=4", 60, 2**20, 2000, {
+            "exhaustive": ((210, 73), 209, 73, 210),
+            "squarefree-rich": (None, 2000, 4, 2),
+            "hybrid": ((210, 73), 328, 73, 210),
+        }),
+        ("parts:Union(Singleton(1,2,3,4,6,12),Primes);PrimesWithOne;PrimesWithOne",
+         8, 2**20, 2000, {
+            "exhaustive": ((12, 8), 11, 8, 12),
+            "squarefree-rich": (None, 2000, 3, 2),
+            "hybrid": ((12, 8), 14, 8, 12),
+        }),
+    ],
+)
+def test_find_witness_outcomes_are_pinned(spec, target, max_n, max_candidates, outcomes):
+    system = parse_system_spec(spec)
+    for strategy in STRATEGIES:
+        budget = SearchBudget(max_candidates, max_n, strategy)
+        o = find_witness(system, target, budget)
+        w = None if o.witness is None else (o.witness.n, o.witness.count)
+        assert (w, o.candidates_tried, o.max_count_seen, o.argmax) == outcomes[strategy]
