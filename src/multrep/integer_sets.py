@@ -89,6 +89,15 @@ def _ensure_sieve(
     _primes = primes
 
 
+def smallest_prime_factors(limit: int) -> array:
+    """The sieve's table, grown to cover [0, limit]: entry n is n for 1
+    and for each prime, the smallest prime factor of each composite n.
+    The table is shared, so callers read it and never write it; raises
+    ResourceLimitError for limit >= PRIME_INDEX_LIMIT."""
+    _ensure_sieve(limit)
+    return _spf
+
+
 def is_prime(n: int) -> bool:
     """Exact primality for n <= 2^63-1: a sieve lookup below SIEVE_LIMIT
     or the sieve's size if grown past it, deterministic Miller-Rabin
@@ -203,9 +212,9 @@ def factorize(n: int) -> dict[int, int]:
         raise FactorizationLimitError(f"{n} exceeds 64-bit range")
     factors: dict[int, int] = {}
     if n < SIEVE_LIMIT:
-        _ensure_sieve(min(max(n, 2), SIEVE_LIMIT))
+        spf = smallest_prime_factors(max(n, 2))
         while n > 1:
-            p = _spf[n]
+            p = spf[n]
             e = 0
             while n % p == 0:
                 n //= p

@@ -15,19 +15,26 @@ The tuple walk reads one pair of tables, flags[i][x] (part i holds the
 divisor with index x) and cnt[i][x]; the tail's levels are spread from
 its per-prime rows only where they are read.  The walk is lexicographic and
 depth-first and enters a branch only when its suffix count is non-zero,
-so listing stops after tuple_cap tuples however large g(n) is.  Window
-scans, witness streams and catalog evidence read their counts from one
-generator (_counts).  Counts are exact Python integers; window scans
-return the min/max over a finite range, which is evidence about the
-tails, never a limit.
+so listing stops after tuple_cap tuples however large g(n) is.
+
+Window scans, witness streams and catalog evidence read their counts
+from one generator (_counts), which splits g into F * G, F the
+convolution of the parts that are not multiplicative and G that of the
+others.  On a window below SIEVE_LIMIT, G is filled by the recurrence
+G(k) = c(p, e) G(k / p^e), p the smallest prime factor of k, through a
+memo kept for the call, and F is convolved over [1, hi] unless that
+would cost more than counting the window per n; elsewhere G is the
+product of c(p, e) over a factorization.  Counts are exact Python
+integers; window scans return the min/max over a finite range, which is
+evidence about the tails, never a limit.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
-from itertools import compress
-from math import prod
+from itertools import compress, islice
+from math import log, prod
 
 from .errors import ResourceLimitError
 from .integer_sets import (
@@ -36,6 +43,7 @@ from .integer_sets import (
     SetDescription,
     basis_system,
     factorize,
+    smallest_prime_factors,
     # not called here, but perfbench/tracer.py wraps repcount.membership
     # and stops with AttributeError if the name is missing
     membership,
@@ -274,65 +282,105 @@ def count_basis_reps(
     return count_system_reps(basis_system(b, h), n, tuple_cap)
 
 
+def _convolve(parts, hi: int, budget: int):
+    """F on [1, hi] as {m: F(m)} over its support: F(m) counts the tuples
+    of parts with product m, convolved from the parts' sorted members.
+    None once the members and (m, member) pairs visited pass budget."""
+    conv = {1: 1}
+    for part in parts:
+        members = list(islice(part.iter_up_to(hi), budget + 1))
+        budget -= len(members)
+        nxt: dict[int, int] = {}
+        for m, c in conv.items():
+            row = members[: bisect_right(members, hi // m)]
+            budget -= len(row)
+            if budget < 0:
+                return None
+            for d in row:
+                nxt[m * d] = nxt.get(m * d, 0) + c
+        conv = nxt
+    return conv
+
+
 def _counts(system: MultiplicativeSystem, ns):
     """Yield (n, g(n)) for each n of the iterable ns, in order.
 
     The count does not depend on the order of the parts, so g is the
     Dirichlet convolution F * G.  F(m) counts the tuples of the parts
-    that are not multiplicative with product m; G(k) = prod c(p, e) over
-    the p^e exactly dividing k counts those of the multiplicative parts,
-    as the tail of _Lattice is.  The input decides the path.  If every part
-    is multiplicative, g = G at each n, with c(p, e) kept for the call
-    (for p below SIEVE_LIMIT, so the table is bounded).  If ns is a
-    range of step 1 ending at or below SIEVE_LIMIT, F is convolved from
-    the parts' sorted members up to its end, and g(n) sums F(m) G(n / m)
-    over the support of F, walking the multiples of each m in the range.
-    Anything else is counted by count_system_reps, one n at a time.
+    that are not multiplicative with product m; G counts those of the
+    multiplicative parts, as the tail of _Lattice does, and is
+    multiplicative: G(k) = c(p, e) G(k / p^e) for each p^e exactly
+    dividing k, with c(p, e) kept for the call (for p below SIEVE_LIMIT,
+    so the table is bounded).
+
+    The input decides the path.  A window is a range of step 1 ending at
+    or below SIEVE_LIMIT.  On a window, p is the smallest prime factor
+    of k, read from the sieve, and G(k / p^e) from a memo of G kept for
+    the call; the memo holds only the k <= hi / 2, since a larger k is
+    read once, at n = k, and is no cofactor.  G(k) is 0 as soon as one
+    c(p, e) is.  If every part is multiplicative, g = G, one n at a time.
+    Otherwise F is convolved over [1, hi], and g(n) sums F(m) G(n / m)
+    over the support of F, walking the multiples of each m in the
+    window.  A window too narrow for its end is counted per n instead:
+    F is given up once building it visits more members and pairs than
+    width * h * ln(hi), the cost of per-n counts, which decide h parts
+    on about ln(n) divisors of each n.  Off a window G(n) is the product
+    of c(p, e) over factorize(n), and a system with a part that is not
+    multiplicative is counted by count_system_reps, one n at a time.
     Only the convolution counts ahead, so a caller that stops early pays
     for no more n, and where a count raises (a factorization or a prime
     index out of range) every count before it has been yielded.
     """
     mult = [part for part in system.parts if part.multiplicative]
     rest = [part for part in system.parts if not part.multiplicative]
-    window = isinstance(ns, range) and ns.step == 1 and ns.stop <= SIEVE_LIMIT
-    if rest and not window:
-        for n in ns:
-            yield n, count_system_reps(system, n, tuple_cap=0).count
-        return
-    conv = {1: 1}
-    for part in rest:
-        members = list(part.iter_up_to(ns[-1]))
-        nxt: dict[int, int] = {}
-        for m, c in conv.items():
-            for d in members[: bisect_right(members, ns[-1] // m)]:
-                nxt[m * d] = nxt.get(m * d, 0) + c
-        conv = nxt
-    digits: dict[tuple[int, int], int] = {}  # c(p, e)
+    conv = None
+    if isinstance(ns, range) and ns.step == 1 and ns.stop <= SIEVE_LIMIT:
+        hi = ns[-1]
+        conv = _convolve(rest, hi, int(len(ns) * len(system.parts) * log(hi)))
+    digits: dict[tuple[int, int], int] = {}
 
-    def chains(k: int) -> int:  # G(k)
-        g = 1
-        for pe in factorize(k).items():
-            c = digits.get(pe)
-            if c is None:
-                _, width, suffixes = _prime_chain(mult, *pe)
-                c = _digit(suffixes[0], pe[1], width)
-                if pe[0] < SIEVE_LIMIT:
-                    digits[pe] = c
-            g *= c
-        return g
+    def c(p: int, e: int) -> int:
+        d = digits.get((p, e))
+        if d is None:
+            _, width, suffixes = _prime_chain(mult, p, e)
+            d = _digit(suffixes[0], e, width)
+            if p < SIEVE_LIMIT:
+                digits[p, e] = d
+        return d
+
+    if conv is None:
+        for n in ns:
+            if rest:
+                yield n, count_system_reps(system, n, tuple_cap=0).count
+            else:
+                yield n, prod(c(p, e) for p, e in factorize(n).items())
+        return
+    lo = ns[0]
+    spf = smallest_prime_factors(hi)
+    half = hi // 2
+    memo = {1: 1}  # G(k) for the k <= half
+
+    def g(k: int) -> int:
+        value = memo.get(k)
+        if value is None:
+            p = spf[k]
+            q, e = k // p, 1
+            while q % p == 0:
+                q, e = q // p, e + 1
+            value = c(p, e)
+            if value:
+                value *= g(q)
+            if k <= half:
+                memo[k] = value
+        return value
 
     if conv == {1: 1}:  # the other parts contribute only 1 to a product
-        yield from ((n, chains(n)) for n in ns)
+        yield from ((n, g(n)) for n in ns)
         return
-    lo, hi = ns[0], ns[-1]
-    memo: dict[int, int] = {}  # G(k)
     counts = [0] * len(ns)
-    for m, c in conv.items():
+    for m, f in conv.items():
         for k in range(-(-lo // m), hi // m + 1):
-            g = memo.get(k)
-            if g is None:
-                g = memo[k] = chains(k)
-            counts[k * m - lo] += c * g
+            counts[k * m - lo] += f * g(k)
     yield from zip(ns, counts)
 
 

@@ -76,6 +76,10 @@ GOLDEN = {
     "cli_count": ("count", "--system", "fundamental:h=2", "--n", "360"),
     "cli_window": ("window", "--system", "one-t:h=2,t=3", "--lo", "2", "--hi", "64"),
     "cli_correspond": ("correspond", "--system", "s-inf:h=2,s=2", "--q", "30"),
+    # the last n the smallest-prime-factor sieve serves
+    "cli_window_edge": (
+        "window", "--system", "s-inf:h=3,s=3", "--lo", "1048000", "--hi", "1048575",
+    ),
 }
 
 

@@ -42,6 +42,7 @@ from multrep.integer_sets import (
     nth_prime,
     prime_index,
     primes_up_to,
+    smallest_prime_factors,
 )
 
 from conftest import sieve_squarefree
@@ -394,6 +395,22 @@ def test_sieve_matches_plain_sieve(monkeypatch):
         assert [prime_index(p) for p in primes] == list(range(1, len(primes) + 1))
     # callers compare prime lists with lists, which an array never equals
     assert type(primes_up_to(100)) is list
+
+
+def test_smallest_prime_factors_grows_the_sieve_and_reads_it(monkeypatch):
+    monkeypatch.setattr(integer_sets, "_spf", array("I"))
+    monkeypatch.setattr(integer_sets, "_primes", [])
+    small = smallest_prime_factors(100)
+    assert 100 < len(small) < (1 << 20) - 1
+    top = (1 << 20) - 1
+    spf = smallest_prime_factors(top)
+    assert len(spf) > top
+    assert spf[1] == 1
+    for n in list(range(2, 5001)) + [top]:
+        if sympy.isprime(n):
+            assert spf[n] == n
+        else:
+            assert spf[n] == min(factorize(n)), n
 
 
 def test_sieve_to_2_20_stays_compact(monkeypatch):

@@ -34,7 +34,9 @@ from multrep import (
     scan_counts,
     window_stats,
 )
+from multrep import repcount
 from multrep.catalog import closed_form
+from multrep.cli import parse_system_spec
 from multrep.integer_sets import SIEVE_LIMIT, factorize, primes_up_to
 
 from conftest import (
@@ -435,6 +437,46 @@ def test_window_with_a_huge_prime_under_fundamental_raises_promptly():
     with pytest.raises(ResourceLimitError):
         window_stats(system, 8 * p - 3, 8 * p + 3)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(2**20 - 400, 2**20 - 1), (2**20 - 200, 2**20 + 200)]
+)
+@pytest.mark.parametrize(
+    "system",
+    [build("fundamental", 3).system, build("s-inf", 3, s=3).system],
+    ids=["fundamental", "s-inf"],
+)
+def test_window_counts_at_the_sieve_edge_match_per_n_counts(system, lo, hi):
+    # the first window ends on the last n the sieve serves, the second
+    # runs past it and so leaves the window path
+    assert [c for _, c in scan_counts(system, lo, hi)] == [
+        count_system_reps(system, n, tuple_cap=0).count for n in range(lo, hi + 1)
+    ]
+
+
+GRAMMAR = "parts:Union(PowersOf(3,0,2),Primes);PrimesWithOne;Singleton(1,2,4)"
+
+
+@pytest.mark.parametrize("spec", ["s-inf:h=3,s=3", GRAMMAR])
+def test_narrow_windows_far_from_1_are_counted_per_n(monkeypatch, spec):
+    # F is built over [1, hi], so a narrow window far from 1 is cheaper
+    # to count one n at a time; wide windows near 1 convolve
+    system = parse_system_spec(spec)
+    counted = []
+
+    def per_n(system, n, tuple_cap):
+        counted.append(n)
+        return count_system_reps(system, n, tuple_cap)
+
+    monkeypatch.setattr(repcount, "count_system_reps", per_n)
+    for lo, hi in [(2, 1001), (12300, 13299), (999990, 10**6)]:
+        counted.clear()
+        got = [c for _, c in scan_counts(system, lo, hi)]
+        assert got == [
+            count_system_reps(system, n, tuple_cap=0).count for n in range(lo, hi + 1)
+        ]
+        assert counted == ([] if hi < 10**6 else list(range(lo, hi + 1)))
 
 
 @pytest.mark.parametrize(
