@@ -450,9 +450,7 @@ def test_window_with_a_huge_prime_under_fundamental_raises_promptly():
 def test_window_counts_at_the_sieve_edge_match_per_n_counts(system, lo, hi):
     # the first window ends on the last n the sieve serves, the second
     # runs past it and so leaves the window path
-    assert [c for _, c in scan_counts(system, lo, hi)] == [
-        count_system_reps(system, n, tuple_cap=0).count for n in range(lo, hi + 1)
-    ]
+    assert window_outcomes(system, lo, hi) == per_n_outcomes(system, lo, hi)
 
 
 GRAMMAR = "parts:Union(PowersOf(3,0,2),Primes);PrimesWithOne;Singleton(1,2,4)"
@@ -472,10 +470,7 @@ def test_narrow_windows_far_from_1_are_counted_per_n(monkeypatch, spec):
     monkeypatch.setattr(repcount, "count_system_reps", per_n)
     for lo, hi in [(2, 1001), (12300, 13299), (999990, 10**6)]:
         counted.clear()
-        got = [c for _, c in scan_counts(system, lo, hi)]
-        assert got == [
-            count_system_reps(system, n, tuple_cap=0).count for n in range(lo, hi + 1)
-        ]
+        assert window_outcomes(system, lo, hi) == per_n_outcomes(system, lo, hi)
         assert counted == ([] if hi < 10**6 else list(range(lo, hi + 1)))
 
 
