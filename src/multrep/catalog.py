@@ -31,7 +31,6 @@ from .integer_sets import (
     Singleton,
     SmoothOver,
     factorize,
-    primes_up_to,
     nth_prime,
 )
 from .repcount import WindowStats, _counts, scan_counts, summarize_window

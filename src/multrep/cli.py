@@ -21,7 +21,7 @@ from .errors import (
     ResourceLimitError,
     SearchBudgetExceeded,
 )
-from .integer_sets import MultiplicativeSystem, _cut, parse_set, parse_system
+from .integer_sets import MultiplicativeSystem, _cut, parse_system
 
 class ConfigError(ValueError):
     pass

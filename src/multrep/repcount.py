@@ -34,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
 from itertools import compress, islice
-from math import log, prod
+from math import log
 
 from .errors import ResourceLimitError
 from .integer_sets import (
@@ -126,7 +126,8 @@ class _Lattice:
     0/1 flags is their AND) only where read: its top level when a part
     above it is paired or decided, the rest by tables() for the tuple
     walk.  When the tail is the whole system, n is counted from its
-    digits, so a count alone builds no table.
+    digits, so a count alone builds no table, and its primes are taken
+    in increasing order up to the first whose top digit is 0.
 
     Above the tail, each level pairs the members d of part i with the
     support r of the level below, keeping the pairs where d * r divides
@@ -145,11 +146,18 @@ class _Lattice:
             t -= 1
         self.t, self.factors = t, factors
         # per prime: (e, the tail's memberships of p^0..p^e, width, suffixes)
-        self.chains = [
-            (e, *_prime_chain(parts[t:], p, e)) for p, e in factors.items()
-        ] if t < h else []
+        self.chains = []
+        self.count = 1
+        for p, e in factors.items() if t < h else ():
+            allowed, width, suffixes = _prime_chain(parts[t:], p, e)
+            self.chains.append((e, allowed, width, suffixes))
+            if t == 0:
+                # n's count is the product of the top digits, and the
+                # chains are read only when it is not 0
+                self.count *= _digit(suffixes[0], e, width)
+                if not self.count:
+                    break
         if t == 0:
-            self.count = prod(_digit(s[0], e, w) for e, _, w, s in self.chains)
             self._flags, self._cnt, self._values = [], [None], None
             return
 
@@ -325,8 +333,9 @@ def _counts(system: MultiplicativeSystem, ns):
     F is given up once building it visits more members and pairs than
     width * h * ln(hi), the cost of per-n counts, which decide h parts
     on about ln(n) divisors of each n.  Off a window G(n) is the product
-    of c(p, e) over factorize(n), and a system with a part that is not
-    multiplicative is counted by count_system_reps, one n at a time.
+    of c(p, e) over factorize(n), p increasing, up to the first c(p, e)
+    that is 0, and a system with a part that is not multiplicative is
+    counted by count_system_reps, one n at a time.
     Only the convolution counts ahead, so a caller that stops early pays
     for no more n, and where a count raises (a factorization or a prime
     index out of range) every count before it has been yielded.
@@ -353,7 +362,12 @@ def _counts(system: MultiplicativeSystem, ns):
             if rest:
                 yield n, count_system_reps(system, n, tuple_cap=0).count
             else:
-                yield n, prod(c(p, e) for p, e in factorize(n).items())
+                count = 1
+                for p, e in factorize(n).items():
+                    count *= c(p, e)
+                    if not count:
+                        break
+                yield n, count
         return
     lo = ns[0]
     spf = smallest_prime_factors(hi)

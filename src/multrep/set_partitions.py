@@ -18,8 +18,9 @@ from .integer_sets import MultiplicativeSystem, SetDescription, _sorted_primes
 from .squarefree_map import phi
 from .repcount import count_system_reps
 
-SIZE_CAP_H2 = 20
-SIZE_CAP_DEFAULT = 13
+# the most steps the fold may take per family: 3^|S| submask steps when
+# a middle family folds, 2^|S| mask decisions otherwise
+FOLD_CAP = 3**13
 
 
 class FamilyDescription:
@@ -126,37 +127,53 @@ def count_ordered_covers(s, families) -> int:
     each of its primes is, so each tail family is asked about each
     element alone (elements in increasing order outside, families
     inside), and the tail covers a set of elements in the product over
-    them of held, the number of tail families holding each.  The
-    families above fold over bitmasks from there, bit i standing for
-    the i-th smallest element, or from the last family's flags when the
-    tail is empty: ways[r] counts the covers of the mask r so far.  Each
-    decides its blocks through one call that lazily returns a flag per
-    mask given.  A middle family is given every mask, and a block a it
-    accepts adds ways[r] at r | a for every submask r of the complement
-    of a; the first is given only the masks whose complement the rest
-    cover.  That is O(h * 3^|s|) additions above the tail and at most
-    2^|s| decisions per family.  ResourceLimitError when |s| exceeds
-    SIZE_CAP_H2 (h = 2) or SIZE_CAP_DEFAULT (h > 2).
+    them of held, the number of tail families holding each.  When every
+    family is in the tail, that product is the count, and it stops at
+    the first element that no family holds.  The families above fold
+    over bitmasks from there, bit i standing for the i-th smallest
+    element, or from the last family's flags when the tail is empty:
+    ways[r] counts the covers of the mask r so far.  Each decides its
+    blocks through one call that lazily returns a flag per mask given.
+    A middle family (any but the first above the tail, or above the
+    last family when it starts the fold) is given every mask, and a
+    block a it accepts adds ways[r] at r | a for every submask r of
+    the complement of a; the first is given only the masks whose
+    complement the rest cover.  That is 3^|s| submask steps per middle
+    family and at most 2^|s| decisions per family.  Once the tail is
+    found, before any family is asked, ResourceLimitError when the
+    fold's steps per family, 3^|s| with a middle family and 2^|s|
+    without, exceed FOLD_CAP (3^13): a fold takes up to 13 elements
+    with a middle family and 20 without.  A cover that is all tail
+    folds nothing and is never capped.
     """
     fams = tuple(families)
     if len(fams) < 2:
         raise ValueError("need h >= 2 families")
     elems = tuple(sorted(set(s)))
-    cap = SIZE_CAP_H2 if len(fams) == 2 else SIZE_CAP_DEFAULT
-    if len(elems) > cap:
-        raise ResourceLimitError(
-            f"|S| = {len(elems)} exceeds the size cap {cap}"
-        )
     t = len(fams)
     while t and isinstance(fams[t - 1], ImageOfSet) and fams[t - 1].base.multiplicative:
         t -= 1
-    held = [sum(f.contains_block(frozenset((e,))) for f in fams[t:]) for e in elems]
+    tail = fams[t:]
+    # the number of tail families holding each element, asked lazily
+    held = (sum(f.contains_block(frozenset((e,))) for f in tail) for e in elems)
     if t == 0:
-        return math.prod(held)
+        count = 1
+        for k in held:
+            count *= k
+            if not count:
+                break
+        return count
+    seeds = t == len(fams)  # no tail: the last family starts the fold
+    t -= seeds
+    steps = (3 if t > 1 else 2) ** len(elems)
+    if steps > FOLD_CAP:
+        raise ResourceLimitError(
+            f"|S| = {len(elems)} needs {steps} fold steps per family, "
+            f"above the cap {FOLD_CAP}"
+        )
     full = (1 << len(elems)) - 1
     every = range(full + 1)
-    if t == len(fams):  # no tail: the last family starts the fold
-        t -= 1
+    if seeds:
         ways = list(fams[t]._block_flags(elems, every))
     else:
         ways = [1]
@@ -210,7 +227,10 @@ def verify_correspondence(
 ) -> CorrespondenceReport:
     """Check g(q) against the ordered-cover count of phi(q) under the
     system's image families.  Inequality indicates an implementation bug.
-    The cover count's size caps hold here too."""
+    The cover count's FOLD_CAP holds here too: ResourceLimitError when
+    phi(q) has more than 13 primes and a middle family folds, or more
+    than 20 and a fold runs without one; a system that is all
+    multiplicative folds nothing and is never capped."""
     s = phi(q).as_frozenset()
     universe = frozenset(universe)
     if not s <= universe:

@@ -285,21 +285,28 @@ def test_correspond_at_the_13_prime_primorial_h4(capsys):
 
 def test_correspond_obeys_the_cover_size_caps(capsys):
     q = 614889782588491410  # the product of the first 15 primes
+    # Primes is a middle family above the tail, so the fold needs 3^15 steps
     start = time.perf_counter()
     code, out, err = run(
         capsys, "correspond",
-        "--system", "parts:AllNaturals;AllNaturals;AllNaturals;AllNaturals",
+        "--system", "parts:AllNaturals;Primes;AllNaturals;AllNaturals",
         "--q", str(q),
     )
     assert time.perf_counter() - start < 2.0
-    assert (code, out, err) == (1, "", "error: |S| = 15 exceeds the size cap 13\n")
-    code, out, _ = run(
-        capsys, "correspond", "--system", "parts:AllNaturals;AllNaturals",
-        "--q", str(q), "--format", "json",
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: |S| = 15 needs 14348907 fold steps per family, "
+        "above the cap 1594323\n"
     )
-    assert code == 0
-    record = json.loads(out)
-    assert record["system_count"] == record["cover_count"] == 2**15
+    # a cover that is all tail folds nothing, and is not capped
+    for h in (2, 4):
+        code, out, _ = run(
+            capsys, "correspond", "--system", "parts:" + ";".join(["AllNaturals"] * h),
+            "--q", str(q), "--format", "json",
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["system_count"] == record["cover_count"] == h**15
 
 
 @pytest.mark.parametrize("q", [5 * 4194319, 5 * 4194329])
@@ -324,6 +331,19 @@ def test_correspond_with_a_tail_intersection_that_refuses_a_big_prime(capsys):
     # of the Intersection asks for the index of that prime beyond 2^22
     spec = "parts:AllNaturals;Intersection(SmoothOver(ExplicitList(3)),SmoothOver(IndexResidue(2,0)))"
     code, out, _ = run(capsys, "correspond", "--system", spec, "--q", str(3 * 4194319))
+    assert code == 0
+    assert "equal: True" in out.splitlines()
+
+
+def test_count_and_correspond_answer_a_zero_before_the_index_of_a_big_prime(capsys):
+    # no part holds 2, so both sides stop there, before the index of the
+    # prime beyond 2^22
+    spec = "parts:Singleton(1);SmoothOver(IndexResidue(2,0))"
+    q = 2 * 3 * 5 * 4194319
+    code, out, _ = run(capsys, "count", "--system", spec, "--n", str(q))
+    assert code == 0
+    assert "count: 0" in out.splitlines()
+    code, out, _ = run(capsys, "correspond", "--system", spec, "--q", str(q))
     assert code == 0
     assert "equal: True" in out.splitlines()
 

@@ -33,8 +33,8 @@ from multrep import (
     verify_correspondence,
 )
 from multrep.cli import parse_system_spec
-from multrep.integer_sets import SetDescription
-from multrep.set_partitions import FamilyDescription
+from multrep.integer_sets import SetDescription, primes_up_to
+from multrep.set_partitions import FOLD_CAP, FamilyDescription
 
 from conftest import oracle_count_covers, sieve_squarefree
 from test_repcount import SMALL_PRIMES, any_sets, systems
@@ -218,15 +218,15 @@ def test_a_non_multiplicative_image_family_reads_a_block_in_increasing_order(s):
 
 @pytest.mark.parametrize("p", [s[1] for s in BIG_PRIME_SETS])
 def test_a_multiplicative_first_family_decides_every_prime(p):
-    # every part is multiplicative, so the system side decides each part
-    # at each prime, and 5 refused does not spare the index of p
+    # every part is multiplicative, so both sides decide each part at
+    # each prime in increasing order, and stop at 5, which no part holds,
+    # before they ask for the index of p (the oracle, which asks the
+    # first family about {p}, cannot answer)
     s = [41, p, 5, 7, 11]
     bases = (SmoothOver(IndexResidue(2, 0)), Singleton((1, 2, 4)))
-    with pytest.raises(ResourceLimitError, match=f"index of {p}"):
-        count_ordered_covers(s, [image_family(base, s) for base in bases])
+    assert count_ordered_covers(s, [image_family(base, s) for base in bases]) == 0
     system = MultiplicativeSystem(bases)
-    with pytest.raises(ResourceLimitError, match=f"index of {p}"):
-        count_system_reps(system, math.prod(s), tuple_cap=0)
+    assert count_system_reps(system, math.prod(s), tuple_cap=0).count == 0
 
 
 @pytest.mark.parametrize("s", BIG_PRIME_SETS, ids=str)
@@ -269,6 +269,7 @@ def outcome(count, *args):
     st.lists(st.sampled_from(SMALL_PRIMES + (4194319, 4194329)), unique=True, max_size=7),
 )
 @example(REFUSING_TAIL, [3, 4194319])
+@example(MultiplicativeSystem((Singleton((1,)), SmoothOver(IndexResidue(2, 0)))), [2, 3, 5, 4194319])
 def test_both_sides_of_the_correspondence_agree(system, s):
     # above 2^63 - 1 the system side raises FactorizationLimitError by
     # contract, a range limit the cover side does not share
@@ -279,10 +280,11 @@ def test_both_sides_of_the_correspondence_agree(system, s):
     assert covers == reps
     if len(s) <= 6 and isinstance(covers, int):
         # the oracle asks every block, so it may raise where both sides do
-        # not; and both sides ask each tail family about each prime alone,
-        # so they may raise where the oracle refuses a whole block at a
-        # smaller prime, as test_a_multiplicative_first_family_decides_every_prime
-        # pins
+        # not.  Both sides ask each tail family about each prime alone, so
+        # below a part that is not multiplicative they may raise where
+        # the oracle refuses a whole block at a smaller prime; a system
+        # that is all tail stops at the first prime that no part holds,
+        # as test_a_multiplicative_first_family_decides_every_prime pins
         oracle = outcome(oracle_count_covers, s, fams)
         if isinstance(oracle, int):
             assert covers == oracle
@@ -396,6 +398,41 @@ def test_size_cap():
     fams = [by_cardinality({0, 1})] * 2
     with pytest.raises(ResourceLimitError):
         count_ordered_covers(frozenset(range(30)), fams)
+
+
+def check_fold_cap(sizes, answered):
+    """by_cardinality families with these sizes answer a set of the
+    answered size, and refuse one element more before any is asked."""
+    fams = [by_cardinality({k}) for k in sizes]
+    assert count_ordered_covers(range(answered), fams) == multinomial(answered, sizes)
+    asked = [AskedBlocks(fam) for fam in fams]
+    message = rf"^\|S\| = {answered + 1} needs \d+ fold steps per family, above the cap {FOLD_CAP}$"
+    with pytest.raises(ResourceLimitError, match=message):
+        count_ordered_covers(range(answered + 1), asked)
+    assert [fam.asked for fam in asked] == [[]] * len(sizes)
+
+
+def test_fold_cap_without_a_middle_family():
+    # the fold decides 2^|S| masks per family, and 2^20 <= 3^13 < 2^21
+    check_fold_cap([10, 10], 20)
+
+
+def test_fold_cap_with_a_middle_family():
+    # the middle family takes 3^|S| submask steps
+    check_fold_cap([4, 4, 5], 13)
+
+
+def test_a_cover_that_is_all_tail_is_never_capped():
+    ps = primes_up_to(113)  # the first 30 primes
+    assert len(ps) == 30
+    assert count_ordered_covers(ps, [image_family(AllNaturals(), ps)] * 3) == 3**30
+
+
+def test_a_fold_without_a_middle_family_answers_at_the_15_prime_primorial():
+    ps = primes_up_to(47)
+    system = parse_system_spec("parts:Primes;AllNaturals;AllNaturals")
+    r = verify_correspondence(system, math.prod(ps), ps)
+    assert r.equal and r.cover_count == 245760
 
 
 def test_correspondence_examples():
