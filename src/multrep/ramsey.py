@@ -17,10 +17,9 @@ from math import comb
 from types import MappingProxyType
 
 from .errors import CapacityOverflowError, ResourceLimitError, SearchBudgetExceeded
+from .integer_sets import MAX_INT
 
 DEFAULT_NODE_BUDGET = 5_000_000
-
-INDEX_CAPACITY = 2**63 - 1
 
 # the most k-subsets a coloring may color; its table, and the subset text
 # that load_coloring indexes, grow with this
@@ -259,12 +258,15 @@ def find_homogeneous(
     """Lexicographically least size-m subset with all k-subsets one color.
 
     Returns None when no such subset exists in this finite ground set;
-    raises SearchBudgetExceeded if the node budget runs out first.  The
-    budget counts positions tried.  For k = 2 the search tries only the
-    positions joined in one color to every chosen one, and only while
-    enough of them are left to reach m, so it tries fewer positions than
-    a plain scan and may resolve a search that such a scan could not.
+    raises ValueError for m < 0, and SearchBudgetExceeded if the node
+    budget runs out first.  The budget counts positions tried.  For k = 2
+    the search tries only the positions joined in one color to every
+    chosen one, and only while enough of them are left to reach m, so it
+    tries fewer positions than a plain scan and may resolve a search
+    that such a scan could not.
     """
+    if m < 0:
+        raise ValueError("m must be >= 0")
     ground = coloring.ground
     if within is None:
         positions = range(len(ground))
@@ -478,7 +480,7 @@ def product_coloring(colorings) -> Coloring:
     capacity = 1
     for r in radices:
         capacity *= r
-        if capacity > INDEX_CAPACITY:
+        if capacity > MAX_INT:
             raise CapacityOverflowError("product color index exceeds capacity")
     combined = list(first.table)
     for c, r in zip(colorings[1:], radices[1:]):

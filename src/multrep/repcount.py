@@ -18,15 +18,14 @@ depth-first and enters a branch only when its suffix count is non-zero,
 so listing stops after tuple_cap tuples however large g(n) is.
 
 Window scans, witness streams and catalog evidence read their counts
-from one generator (_counts), which splits g into F * G, F the
-convolution of the parts that are not multiplicative and G that of the
-others.  On a window below SIEVE_LIMIT, G is filled by the recurrence
-G(k) = c(p, e) G(k / p^e), p the smallest prime factor of k, through a
-memo kept for the call, and F is convolved over [1, hi] unless that
-would cost more than counting the window per n; elsewhere G is the
-product of c(p, e) over a factorization.  Counts are exact Python
-integers; window scans return the min/max over a finite range, which is
-evidence about the tails, never a limit.
+from one generator (_counts), which splits g into F * G, the
+convolutions of the parts that are not multiplicative and of the others.
+The system decides first: if every part is multiplicative, g = G, by
+the recurrence G(k) = c(p, e) G(k / p^e) below SIEVE_LIMIT, p the
+smallest prime factor of k, and above it by the product of c(p, e) over
+a factorization.  Otherwise a window below SIEVE_LIMIT convolves F over
+[1, hi], unless that costs more than the per-n counts every other
+sequence takes.  A window's exact min/max is evidence, never a limit.
 """
 
 from __future__ import annotations
@@ -318,34 +317,35 @@ def _counts(system: MultiplicativeSystem, ns):
     that are not multiplicative with product m; G counts those of the
     multiplicative parts, as the tail of _Lattice does, and is
     multiplicative: G(k) = c(p, e) G(k / p^e) for each p^e exactly
-    dividing k, with c(p, e) kept for the call (for p below SIEVE_LIMIT,
-    so the table is bounded).
+    dividing k, with c(p, e) kept for the call for p below SIEVE_LIMIT.
 
-    The input decides the path.  A window is a range of step 1 ending at
-    or below SIEVE_LIMIT.  On a window, p is the smallest prime factor
-    of k, read from the sieve, and G(k / p^e) from a memo of G kept for
-    the call; the memo holds only the k <= hi / 2, since a larger k is
-    read once, at n = k, and is no cofactor.  G(k) is 0 as soon as one
-    c(p, e) is.  If every part is multiplicative, g = G, one n at a time.
-    Otherwise F is convolved over [1, hi], and g(n) sums F(m) G(n / m)
-    over the support of F, walking the multiples of each m in the
-    window.  A window too narrow for its end is counted per n instead:
-    F is given up once building it visits more members and pairs than
-    width * h * ln(hi), the cost of per-n counts, which decide h parts
-    on about ln(n) divisors of each n.  Off a window G(n) is the product
-    of c(p, e) over factorize(n), p increasing, up to the first c(p, e)
-    that is 0, and a system with a part that is not multiplicative is
-    counted by count_system_reps, one n at a time.
+    The system decides the path first.  If every part is multiplicative,
+    g = G, one n at a time on any sequence.  Below SIEVE_LIMIT, p is the
+    smallest prime factor of k, read from the sieve (grown as factorize
+    would grow it for n), and on a range G(k / p^e) is read from a memo of
+    the k <= hi / 2 (a larger k is read once, at n = k); from SIEVE_LIMIT
+    up, G(n) is the product of c(p, e) over factorize(n).  Either way p
+    increases, up to the first c(p, e) that is 0.  Otherwise, on a window
+    (a range of step 1 ending at or below SIEVE_LIMIT), F is convolved
+    over [1, hi] and g(n) sums F(m) G(n / m) over the support of F,
+    walking the multiples of each m in the window (g = G as above if F is
+    1 at 1 alone).  Any other sequence, or a window too narrow for its
+    end, is counted per n by count_system_reps: F is given up once
+    building it visits more members and pairs than width * h * ln(hi),
+    the cost of per-n counts (h parts decided on about ln(n) divisors).
     Only the convolution counts ahead, so a caller that stops early pays
     for no more n, and where a count raises (a factorization or a prime
     index out of range) every count before it has been yielded.
     """
     mult = [part for part in system.parts if part.multiplicative]
     rest = [part for part in system.parts if not part.multiplicative]
-    conv = None
-    if isinstance(ns, range) and ns.step == 1 and ns.stop <= SIEVE_LIMIT:
+    conv = None if rest else {1: 1}
+    if rest and isinstance(ns, range) and ns.step == 1 and ns.stop <= SIEVE_LIMIT:
         hi = ns[-1]
         conv = _convolve(rest, hi, int(len(ns) * len(system.parts) * log(hi)))
+    if conv is None:
+        yield from ((n, count_system_reps(system, n, tuple_cap=0).count) for n in ns)
+        return
     digits: dict[tuple[int, int], int] = {}
 
     def c(p: int, e: int) -> int:
@@ -357,21 +357,8 @@ def _counts(system: MultiplicativeSystem, ns):
                 digits[p, e] = d
         return d
 
-    if conv is None:
-        for n in ns:
-            if rest:
-                yield n, count_system_reps(system, n, tuple_cap=0).count
-            else:
-                count = 1
-                for p, e in factorize(n).items():
-                    count *= c(p, e)
-                    if not count:
-                        break
-                yield n, count
-        return
-    lo = ns[0]
-    spf = smallest_prime_factors(hi)
-    half = hi // 2
+    spf = ()
+    half = ns[-1] // 2 if isinstance(ns, range) and ns else 0
     memo = {1: 1}  # G(k) for the k <= half
 
     def g(k: int) -> int:
@@ -388,9 +375,20 @@ def _counts(system: MultiplicativeSystem, ns):
                 memo[k] = value
         return value
 
-    if conv == {1: 1}:  # the other parts contribute only 1 to a product
-        yield from ((n, g(n)) for n in ns)
+    if conv == {1: 1}:  # no other parts, or none but 1 in a product
+        for n in ns:
+            if 1 <= n < SIEVE_LIMIT:
+                spf = spf if n < len(spf) else smallest_prime_factors(n)
+                yield n, g(n)
+                continue
+            count = 1
+            for p, e in factorize(n).items():
+                count *= c(p, e)
+                if not count:
+                    break
+            yield n, count
         return
+    lo, spf = ns[0], smallest_prime_factors(hi)
     counts = [0] * len(ns)
     for m, f in conv.items():
         for k in range(-(-lo // m), hi // m + 1):
@@ -399,10 +397,10 @@ def _counts(system: MultiplicativeSystem, ns):
 
 
 def scan_counts(system: MultiplicativeSystem, lo: int, hi: int):
-    """Yield (n, g(n)) for n in [lo, hi]."""
+    """A generator of (n, g(n)) for n in [lo, hi], its range checked here."""
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
-    yield from _counts(system, range(lo, hi + 1))
+    return _counts(system, range(lo, hi + 1))
 
 
 def window_stats(system: MultiplicativeSystem, lo: int, hi: int) -> WindowStats:

@@ -80,6 +80,11 @@ GOLDEN = {
     "cli_window_edge": (
         "window", "--system", "s-inf:h=3,s=3", "--lo", "1048000", "--hi", "1048575",
     ),
+    # an all-multiplicative witness stream, each candidate read from the sieve
+    "cli_witness": (
+        "witness", "--system", "parts:AllNaturals;AllNaturals", "--target", "48",
+        "--max-n", "1048576", "--strategy", "exhaustive",
+    ),
 }
 
 
@@ -283,7 +288,7 @@ def test_correspond_at_the_13_prime_primorial_h4(capsys):
     assert record["system_count"] == record["cover_count"] == 4**13
 
 
-def test_correspond_obeys_the_cover_size_caps(capsys):
+def test_correspond_obeys_the_cover_fold_cap(capsys):
     q = 614889782588491410  # the product of the first 15 primes
     # Primes is a middle family above the tail, so the fold needs 3^15 steps
     start = time.perf_counter()
@@ -407,6 +412,24 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "count", "--system", "bogus:h=2", "--n", "5")[0] == 2
     assert run(capsys, "count", "--system", "parts:Nope", "--n", "5")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+
+
+def test_a_window_checks_its_range_before_writing_a_row(capsys):
+    code, out, err = run(
+        capsys, "window", "--system", "fundamental:h=2",
+        "--lo", "5", "--hi", "4", "--format", "csv",
+    )
+    assert (code, out, err) == (2, "", "error: need 1 <= lo <= hi\n")
+
+
+def test_ramsey_command_refuses_a_negative_m(capsys, tmp_path):
+    path = tmp_path / "pentagon.txt"
+    path.write_text(dump_coloring(pentagon_coloring()))
+    for fmt in ("text", "json"):
+        code, out, err = run(
+            capsys, "ramsey", "--coloring", str(path), "--m", "-1", "--format", fmt
+        )
+        assert (code, out, err) == (2, "", "error: m must be >= 0\n")
 
 
 def test_byte_identical_output(capsys):

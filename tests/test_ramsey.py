@@ -90,6 +90,15 @@ def test_budget_exhaustion_is_distinct_from_none():
         find_homogeneous(c, 12, budget=1)
 
 
+def test_a_negative_size_is_refused_before_any_search(pentagon):
+    for coloring in (pentagon, constant_coloring(tuple(range(1, 7)), 0)):
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            find_homogeneous(coloring, -1, budget=0)
+    # a size below k is no error: no such subset is asked for
+    assert find_homogeneous(pentagon, 0) is None
+    assert find_homogeneous(pentagon, 1) is None
+
+
 def test_iterated_chain_k0():
     ground = tuple(range(1, 7))
     chain = iterated_chain([constant_coloring(ground, 0, color=4)], [6])

@@ -453,6 +453,78 @@ def test_window_counts_at_the_sieve_edge_match_per_n_counts(system, lo, hi):
     assert window_outcomes(system, lo, hi) == per_n_outcomes(system, lo, hi)
 
 
+def test_scan_counts_checks_its_range_at_the_call():
+    with pytest.raises(ValueError, match="need 1 <= lo <= hi"):
+        scan_counts(build("fundamental", 2).system, 5, 4)
+
+
+@pytest.mark.parametrize("spec", ["fundamental:h=3", "parts:AllNaturals;AllNaturals;AllNaturals"])
+def test_multiplicative_windows_are_not_convolved(monkeypatch, spec):
+    def refuse(parts, hi, budget):
+        raise AssertionError("an all-multiplicative window was convolved")
+
+    system = parse_system_spec(spec)
+    per_n = [(n, count_system_reps(system, n, 0).count) for n in range(2, 3001)]
+    monkeypatch.setattr(repcount, "_convolve", refuse)
+    assert window_stats(system, 2, 3000) == repcount.summarize_window(2, 3000, per_n)
+
+
+def stream_outcomes(monkeypatch, system, ns):
+    """The counts _counts yields for the n of ns, handed to it as a
+    generator, up to the error that ends them as (type, message); and
+    the n it factors on the way."""
+    factored, out = [], []
+
+    def factor(n):
+        factored.append(n)
+        return factorize(n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repcount, "factorize", factor)
+        try:
+            out.extend(c for _, c in repcount._counts(system, (n for n in ns)))
+        except Exception as exc:
+            out.append((type(exc), str(exc)))
+    return out, factored
+
+
+def per_n_stream(system, ns):
+    out = []
+    try:
+        out.extend(count_system_reps(system, n, tuple_cap=0).count for n in ns)
+    except Exception as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["fundamental:h=3", "one-t:h=3,t=3", "one-inf:h=3", "parts:AllNaturals;AllNaturals;AllNaturals"],
+)
+def test_multiplicative_streams_factor_only_from_the_sieve_limit(monkeypatch, spec):
+    system = parse_system_spec(spec)
+    ns = [*range(1, 301), *range(2**20 - 40, 2**20 + 41), *primorials()[:15]]
+    got, factored = stream_outcomes(monkeypatch, system, ns)
+    assert got == per_n_stream(system, ns)
+    assert factored == [n for n in ns if n >= SIEVE_LIMIT]
+
+
+def test_multiplicative_streams_stop_and_raise_where_per_n_counts_do(monkeypatch):
+    system = parse_system_spec("parts:Singleton(1);SmoothOver(IndexResidue(2,0))")
+    big = 4194319  # a prime whose index lies beyond the 2^22 sieve cap
+    # 2 is held by neither part, so the count is 0 before the index of big
+    # is asked for; at 3 * big it is asked for, and refused
+    ns = [*range(1, 31), 2 * 3 * 5 * big, 7, 3 * big, 11]
+    got, factored = stream_outcomes(monkeypatch, system, ns)
+    assert got == per_n_stream(system, ns)
+    assert got[30] == 0 and got[32][0] is ResourceLimitError and len(got) == 33
+    assert factored == [2 * 3 * 5 * big, 3 * big]
+    for ns in ([9, 0], [9, -3]):
+        got, factored = stream_outcomes(monkeypatch, system, ns)
+        assert got == [1, (ValueError, "n must be >= 1")]
+        assert factored == ns[1:]
+
+
 GRAMMAR = "parts:Union(PowersOf(3,0,2),Primes);PrimesWithOne;Singleton(1,2,4)"
 
 

@@ -217,7 +217,7 @@ def test_a_non_multiplicative_image_family_reads_a_block_in_increasing_order(s):
 
 
 @pytest.mark.parametrize("p", [s[1] for s in BIG_PRIME_SETS])
-def test_a_multiplicative_first_family_decides_every_prime(p):
+def test_an_all_tail_system_stops_at_the_first_prime_no_part_holds(p):
     # every part is multiplicative, so both sides decide each part at
     # each prime in increasing order, and stop at 5, which no part holds,
     # before they ask for the index of p (the oracle, which asks the
@@ -284,7 +284,7 @@ def test_both_sides_of_the_correspondence_agree(system, s):
         # below a part that is not multiplicative they may raise where
         # the oracle refuses a whole block at a smaller prime; a system
         # that is all tail stops at the first prime that no part holds,
-        # as test_a_multiplicative_first_family_decides_every_prime pins
+        # as test_an_all_tail_system_stops_at_the_first_prime_no_part_holds pins
         oracle = outcome(oracle_count_covers, s, fams)
         if isinstance(oracle, int):
             assert covers == oracle

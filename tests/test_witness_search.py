@@ -16,7 +16,9 @@ from multrep import (
     count_system_reps,
     find_witness,
 )
+from multrep import repcount
 from multrep.cli import parse_system_spec
+from multrep.integer_sets import factorize
 from multrep.witness_search import STRATEGIES
 
 from conftest import naive_divisors, sieve_squarefree
@@ -175,6 +177,33 @@ def test_witness_streams_never_list_members():
         budget = SearchBudget(max_n=10**6, strategy=strategy)
         outcome = find_witness(system, 9, budget)
         assert (outcome.witness.n, outcome.witness.count) == (30, 13)
+
+
+@pytest.mark.parametrize(
+    "spec, target, strategy, found, tried, best",
+    [
+        ("parts:AllNaturals;AllNaturals", 48, "exhaustive", 2520, 2519, 48),
+        ("parts:AllNaturals;AllNaturals;AllNaturals;AllNaturals", 1000, "hybrid",
+         720, 1184, 1400),
+    ],
+)
+def test_multiplicative_streams_below_the_sieve_factor_only_the_witness(
+    monkeypatch, spec, target, strategy, found, tried, best
+):
+    # each candidate's count is read from the sieve; only the witness,
+    # whose tuples count_system_reps lists, is factored
+    factored = []
+
+    def factor(n):
+        factored.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(repcount, "factorize", factor)
+    budget = SearchBudget(max_n=1 << 20, strategy=strategy)
+    outcome = find_witness(parse_system_spec(spec), target, budget)
+    assert (outcome.witness.n, outcome.candidates_tried) == (found, tried)
+    assert (outcome.max_count_seen, outcome.argmax) == (best, found)
+    assert factored == [found]
 
 
 def distinct_prime_counts(limit):
