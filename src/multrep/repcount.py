@@ -375,7 +375,7 @@ def _counts(system: MultiplicativeSystem, ns):
                 memo[k] = value
         return value
 
-    if conv == {1: 1}:  # no other parts, or none but 1 in a product
+    if conv == {1: 1}:  # F is 1 at 1 alone, so g = G
         for n in ns:
             if 1 <= n < SIEVE_LIMIT:
                 spf = spf if n < len(spf) else smallest_prime_factors(n)
