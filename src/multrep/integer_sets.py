@@ -313,6 +313,74 @@ class Complement(PrimeClass):
 
 
 # ---------------------------------------------------------------------------
+# the divisor lattice
+# ---------------------------------------------------------------------------
+
+def _spread(rows) -> list:
+    """The products that take one entry from each row, in divisor index
+    order: the product at index sum a_j * s_j takes entry a_j of row j,
+    where s_j is the product of the lengths of the rows before row j."""
+    out = [1]
+    for row in rows:
+        out = [v * r for r in row for v in out]
+    return out
+
+
+def _divisor_values(factors: dict[int, int]) -> list[int]:
+    """The divisors of the integer with this factorization, in index order.
+
+    The divisor prod p_j^a_j has index sum a_j * s_j, where s_j is the
+    number of divisors over the primes before p_j.  If d divides m, the
+    index of m // d is index(m) - index(d).  On a squarefree integer
+    with its primes ascending, the index of a divisor is the bitmask of
+    its primes.
+    """
+    return _spread([[p**a for a in range(e + 1)] for p, e in factors.items()])
+
+
+def _steps(factors: dict[int, int]) -> list[int]:
+    """s_j for each prime p_j of the factorization, then the number of
+    divisors: s_j is the index of the divisor p_j."""
+    steps = [1]
+    for e in factors.values():
+        steps.append(steps[-1] * (e + 1))
+    return steps
+
+
+def _divisor_index(factors: dict[int, int], v: int) -> int | None:
+    """The index of v among the divisors of the integer with this
+    factorization, or None when v does not divide it."""
+    x, step = 0, 1
+    for p, e in factors.items():
+        a = 0
+        while a < e and v % p == 0:
+            v //= p
+            a += 1
+        x += a * step
+        step *= e + 1
+    return x if v == 1 else None
+
+
+def _divisor_factors(factors: dict[int, int], x: int) -> dict[int, int]:
+    """The factorization of the divisor with index x, primes ascending."""
+    out = {}
+    for p, e in factors.items():
+        x, a = divmod(x, e + 1)
+        if a:
+            out[p] = a
+    return out
+
+
+def _marked(size: int, indices, where) -> list:
+    """A row of size flags, True at each of the indices that where marks
+    (every index when where is None)."""
+    row = [False] * size
+    for x in indices:
+        row[x] = where is None or where[x]
+    return row
+
+
+# ---------------------------------------------------------------------------
 # set descriptions
 # ---------------------------------------------------------------------------
 
@@ -324,6 +392,14 @@ class SetDescription:
     of n is decided by the prime powers exactly dividing n.  A set whose
     parameters reach beyond 64-bit range counts as not multiplicative,
     which costs speed, never exactness.
+
+    divisor_flags decides every divisor of a factored n in one call, by
+    kind: the kinds here build no factorization per divisor, and a kind
+    that overrides only contains_factored is asked divisor by divisor.
+    repcount decides each part above its multiplicative tail, and
+    set_partitions each middle or seeding image family, through it;
+    both decide their first part lazily, only at the divisors whose
+    cofactor the other parts can represent.
     """
 
     multiplicative = False
@@ -340,6 +416,37 @@ class SetDescription:
         """Membership of p^0, p^1, ..., p^e for a prime p."""
         return [self.contains(p**a) for a in range(e + 1)]
 
+    def divisor_flags(self, factors: dict[int, int], where=None) -> list:
+        """Membership of each divisor of the integer n whose factorization
+        {prime: exponent, primes ascending} is given, in divisor index
+        order (_divisor_values): on a squarefree n that index is the
+        bitmask of the divisor's primes.  where, a list of flags in the
+        same order, restricts the questions to the divisors it marks,
+        and the others read False.  For the kinds here the row raises
+        exactly where asking contains_factored about each divisor it
+        covers would, with the same error type.
+
+        Asked about every divisor, a multiplicative kind spreads its
+        prime_power_flags, one question per prime power.  Primes and
+        PrimesWithOne mark the single primes (and 1), Singleton and
+        PowersOf place the listed values or powers that divide n, and
+        AllNaturals holds every divisor, so none of them builds a
+        factorization per divisor.  Union asks each part only where the
+        parts before it refuse the divisor, and Intersection only where
+        they accept it.  Otherwise, as here, contains_factored is asked
+        divisor by divisor, in index order, each divisor's factorization
+        built only when it is asked.
+        """
+        if where is None and self.multiplicative:
+            return _spread([self.prime_power_flags(p, e) for p, e in factors.items()])
+        size = _steps(factors)[-1]
+        asked = range(size) if where is None else compress(range(size), where)
+        row = [False] * size
+        for x in asked:
+            f = _divisor_factors(factors, x)
+            row[x] = self.contains_factored(math.prod(p**a for p, a in f.items()), f)
+        return row
+
     def iter_up_to(self, limit: int):
         """The members in [1, limit], ascending and without duplicates."""
         # generic fallback: scan and filter
@@ -355,6 +462,9 @@ class AllNaturals(SetDescription):
 
     def prime_power_flags(self, p: int, e: int) -> list[bool]:
         return [True] * (e + 1)
+
+    def divisor_flags(self, factors: dict[int, int], where=None) -> list:
+        return [True] * _steps(factors)[-1] if where is None else list(where)
 
     def iter_up_to(self, limit: int):
         return iter(range(1, limit + 1))
@@ -387,6 +497,10 @@ class Singleton(SetDescription):
 
     def contains(self, n: int) -> bool:
         return n in self.values
+
+    def divisor_flags(self, factors: dict[int, int], where=None) -> list:
+        indices = [_divisor_index(factors, v) for v in self.values]
+        return _marked(_steps(factors)[-1], [x for x in indices if x is not None], where)
 
     def iter_up_to(self, limit: int):
         return (v for v in self.values if 1 <= v <= limit)
@@ -423,6 +537,16 @@ class PowersOf(SetDescription):
             return False
         return e >= self.lo and (self.hi is None or e <= self.hi)
 
+    def divisor_flags(self, factors: dict[int, int], where=None) -> list:
+        # base^k for k up to the last that divides n, never base^lo itself
+        n = math.prod(p**e for p, e in factors.items())
+        indices, v, k = [], 1, 0
+        while n % v == 0 and (self.hi is None or k <= self.hi):
+            if k >= self.lo:
+                indices.append(_divisor_index(factors, v))
+            v, k = v * self.base, k + 1
+        return _marked(_steps(factors)[-1], indices, where)
+
     def iter_up_to(self, limit: int):
         e = self.lo
         v = self.base**e
@@ -440,6 +564,10 @@ class Primes(SetDescription):
     def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
         return list(factors.values()) == [1]
 
+    def divisor_flags(self, factors: dict[int, int], where=None) -> list:
+        steps = _steps(factors)
+        return _marked(steps[-1], steps[:-1], where)
+
     def iter_up_to(self, limit: int):
         return iter(primes_up_to(limit))
 
@@ -451,6 +579,10 @@ class PrimesWithOne(SetDescription):
 
     def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
         return n == 1 or list(factors.values()) == [1]
+
+    def divisor_flags(self, factors: dict[int, int], where=None) -> list:
+        steps = _steps(factors)
+        return _marked(steps[-1], [0] + steps[:-1], where)
 
     def iter_up_to(self, limit: int):
         if limit >= 1:
@@ -507,6 +639,17 @@ class Union(SetDescription):
     def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
         return any(part.contains_factored(n, factors) for part in self.parts)
 
+    def divisor_flags(self, factors: dict[int, int], where=None) -> list:
+        first, *rest = self.parts
+        row = first.divisor_flags(factors, where)
+        for part in rest:
+            if where is None:
+                refused = [not ok for ok in row]
+            else:
+                refused = [w and not ok for w, ok in zip(where, row)]
+            row = [ok or more for ok, more in zip(row, part.divisor_flags(factors, refused))]
+        return row
+
     def iter_up_to(self, limit: int):
         last = None
         for v in heapq.merge(*(part.iter_up_to(limit) for part in self.parts)):
@@ -532,6 +675,13 @@ class Intersection(SetDescription):
 
     def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
         return all(part.contains_factored(n, factors) for part in self.parts)
+
+    def divisor_flags(self, factors: dict[int, int], where=None) -> list:
+        if where is None and self.multiplicative:
+            return super().divisor_flags(factors)
+        for part in self.parts:
+            where = part.divisor_flags(factors, where)
+        return where
 
     def iter_up_to(self, limit: int):
         first, *rest = self.parts

@@ -9,7 +9,9 @@ of representations of m | n by parts i..h-1, factors over the prime
 powers of n for the trailing multiplicative parts (the tail; the whole
 system when every part is multiplicative, and then g(n) = prod c(p, e)
 with no table built).  Each part above the tail pairs its members,
-decided once per divisor of n, with the support of the level below.
+decided at every divisor of n in one call by the part's kind
+(SetDescription.divisor_flags), with the support of the level below;
+the first part is decided only where that support needs it.
 
 The tuple walk reads one pair of tables, flags[i][x] (part i holds the
 divisor with index x) and cnt[i][x]; the tail's levels are spread from
@@ -40,6 +42,8 @@ from .integer_sets import (
     SIEVE_LIMIT,
     MultiplicativeSystem,
     SetDescription,
+    _divisor_values,
+    _spread,
     basis_system,
     factorize,
     smallest_prime_factors,
@@ -85,26 +89,6 @@ class WindowStats:
         return asdict(self)
 
 
-def _spread(rows) -> list:
-    """The products that take one entry from each row, in divisor index
-    order: the product at index sum a_j * s_j takes entry a_j of row j,
-    where s_j is the product of the lengths of the rows before row j."""
-    out = [1]
-    for row in rows:
-        out = [v * r for r in row for v in out]
-    return out
-
-
-def _divisor_values(factors: dict[int, int]) -> list[int]:
-    """The divisors of the integer with this factorization, in index order.
-
-    The divisor prod p_j^a_j has index sum a_j * s_j, where s_j is the
-    number of divisors over the primes before p_j.  If d divides m, the
-    index of m // d is index(m) - index(d).
-    """
-    return _spread([[p**a for a in range(e + 1)] for p, e in factors.items()])
-
-
 class _Lattice:
     """Suffix counts over the divisor lattice of n, for any system.
 
@@ -128,14 +112,18 @@ class _Lattice:
     digits, so a count alone builds no table, and its primes are taken
     in increasing order up to the first whose top digit is 0.
 
-    Above the tail, each level pairs the members d of part i with the
-    support r of the level below, keeping the pairs where d * r divides
-    n; below the lowest of them is the tail's top level, or the last
-    part's membership when the tail is empty.  More than PAIR_CAP pairs
-    in all raise ResourceLimitError before the level that would pass it
-    is paired.  Level 0 is needed at n alone, so part 0 is decided only
-    at n // r for the r in the support of level 1: flags[0] is False
-    elsewhere.
+    Above the tail, each part i >= 1 is decided at every divisor of n in
+    one divisor_flags call, which answers by the part's kind: the kinds
+    of integer_sets build no factorization per divisor, and any other
+    kind is asked divisor by divisor.  Each level pairs the members d of
+    part i with the support r of the level below, keeping the pairs
+    where d * r divides n; below the lowest of them is the tail's top
+    level, or the last part's membership when the tail is empty.  More
+    than PAIR_CAP pairs in all raise ResourceLimitError before the level
+    that would pass it is paired.  Level 0 is needed at n alone, so part
+    0 is decided lazily, by divisor_flags restricted to the n // r for
+    the r in the support of level 1, each of those divisors'
+    factorizations built only for it: flags[0] is False elsewhere.
     """
 
     def __init__(self, parts, factors: dict[int, int]):
@@ -161,16 +149,11 @@ class _Lattice:
             return
 
         self._values = values = _divisor_values(factors)
-        facts = [{}]  # the factorization of each divisor
-        for p, e in factors.items():
-            facts = [{**f, p: a} if a else f for a in range(e + 1) for f in facts]
         top = len(values) - 1  # the index of n
         known = {}
         for part in parts[1:t]:
             if id(part) not in known:
-                known[id(part)] = [
-                    part.contains_factored(v, f) for v, f in zip(values, facts)
-                ]
+                known[id(part)] = part.divisor_flags(factors)
         self._flags = [None] + [known[id(part)] for part in parts[1:t]]
         low = min(t, h - 1)  # the lowest level that is not paired
         self._cnt = [None] * (low + 1)
@@ -193,10 +176,10 @@ class _Lattice:
                         row[d + r] += c
             self._cnt[i] = below = row
         support = [(r, c) for r, c in enumerate(below) if c]
-        first = parts[0]
-        self._flags[0] = decided = [False] * len(values)
+        asked = [False] * len(values)
         for r, _ in support:
-            decided[top - r] = first.contains_factored(values[top - r], facts[top - r])
+            asked[top - r] = True
+        self._flags[0] = decided = parts[0].divisor_flags(factors, asked)
         self.count = sum(c for r, c in support if decided[top - r])
 
     def _tail_cnt(self, i: int) -> list:
@@ -326,10 +309,10 @@ def _counts(system: MultiplicativeSystem, ns):
     the k <= hi / 2 (a larger k is read once, at n = k); from SIEVE_LIMIT
     up, G(n) is the product of c(p, e) over factorize(n).  Either way p
     increases, up to the first c(p, e) that is 0.  Otherwise, on a window
-    (a range of step 1 ending at or below SIEVE_LIMIT), F is convolved
-    over [1, hi] and g(n) sums F(m) G(n / m) over the support of F,
-    walking the multiples of each m in the window (g = G as above if F is
-    1 at 1 alone).  Any other sequence, or a window too narrow for its
+    (a non-empty range of step 1 from n >= 1, ending at or below
+    SIEVE_LIMIT), F is convolved over [1, hi] and g(n) sums F(m) G(n / m)
+    over the support of F, walking the multiples of each m in the window
+    (g = G as above if F is 1 at 1 alone).  Any other sequence, or a window too narrow for its
     end, is counted per n by count_system_reps: F is given up once
     building it visits more members and pairs than width * h * ln(hi),
     the cost of per-n counts (h parts decided on about ln(n) divisors).
@@ -340,7 +323,7 @@ def _counts(system: MultiplicativeSystem, ns):
     mult = [part for part in system.parts if part.multiplicative]
     rest = [part for part in system.parts if not part.multiplicative]
     conv = None if rest else {1: 1}
-    if rest and isinstance(ns, range) and ns.step == 1 and ns.stop <= SIEVE_LIMIT:
+    if rest and isinstance(ns, range) and ns.step == 1 and 1 <= ns.start < ns.stop <= SIEVE_LIMIT:
         hi = ns[-1]
         conv = _convolve(rest, hi, int(len(ns) * len(system.parts) * log(hi)))
     if conv is None:

@@ -39,6 +39,10 @@ class FamilyDescription:
             block = frozenset(low[a & low_mask][1]).union(high[a >> half][1])
             yield self.contains_block(block)
 
+    def _every_block_flags(self, elems) -> list:
+        """_block_flags of every mask over elems, in mask order."""
+        return list(self._block_flags(elems, range(1 << len(elems))))
+
 
 @dataclass(frozen=True)
 class Explicit(FamilyDescription):
@@ -98,6 +102,23 @@ class ImageOfSet(FamilyDescription):
                 (lp, lf), (hp, hf) = low[a & low_mask], high[a >> half]
                 yield self.base.contains_factored(lp * hp, lf | hf)
 
+    def _every_block_flags(self, elems) -> list:
+        """The base's divisor_flags at the product of the elems inside the
+        universe, whose divisor index is the mask over those elems; a
+        mask that picks an element outside reads False, unasked."""
+        inside = [e for e in elems if e in self.universe]
+        flags = self.base.divisor_flags(dict.fromkeys(inside, 1))
+        if len(inside) == len(elems):
+            return flags
+        spots = [0]  # the mask over elems of each mask over inside
+        for i, e in enumerate(elems):
+            if e in self.universe:
+                spots += [a | 1 << i for a in spots]
+        out = [False] * (1 << len(elems))
+        for a, ok in zip(spots, flags):
+            out[a] = ok
+        return out
+
 
 def image_family(base: SetDescription, universe) -> ImageOfSet:
     """Raises ValueError when the universe holds a number that is not prime."""
@@ -132,14 +153,20 @@ def count_ordered_covers(s, families) -> int:
     the first element that no family holds.  The families above fold
     over bitmasks from there, bit i standing for the i-th smallest
     element, or from the last family's flags when the tail is empty:
-    ways[r] counts the covers of the mask r so far.  Each decides its
-    blocks through one call that lazily returns a flag per mask given.
-    A middle family (any but the first above the tail, or above the
-    last family when it starts the fold) is given every mask, and a
-    block a it accepts adds ways[r] at r | a for every submask r of
-    the complement of a; the first is given only the masks whose
-    complement the rest cover.  That is 3^|s| submask steps per middle
-    family and at most 2^|s| decisions per family.  Once the tail is
+    ways[r] counts the covers of the mask r so far.  A middle family
+    (any but the first above the tail, or above the last family when it
+    starts the fold) and the last family that starts it are decided at
+    every mask in one call: an image family takes the flags from its
+    base's divisor_flags at the product of the elements inside its
+    universe (a mask is that divisor's index, and a mask that picks an
+    element outside reads False, unasked), so Primes, PrimesWithOne,
+    Singleton, PowersOf, the multiplicative kinds and their unions and
+    intersections need no factorization per block.  A block a that a
+    middle family accepts adds ways[r] at r | a for every submask r of
+    the complement of a.  The first family stays lazy: one call returns
+    a flag for each mask whose complement the rest cover, and no other.
+    That is 3^|s| submask steps per middle family and at most 2^|s|
+    decisions per family.  Once the tail is
     found, before any family is asked, ResourceLimitError when the
     fold's steps per family, 3^|s| with a middle family and 2^|s|
     without, exceed FOLD_CAP (3^13): a fold takes up to 13 elements
@@ -174,14 +201,14 @@ def count_ordered_covers(s, families) -> int:
     full = (1 << len(elems)) - 1
     every = range(full + 1)
     if seeds:
-        ways = list(fams[t]._block_flags(elems, every))
+        ways = fams[t]._every_block_flags(elems)
     else:
         ways = [1]
         for k in held:
             ways += [w * k for w in ways]
     for fam in reversed(fams[1:t]):
         folded = [0] * (full + 1)
-        for a, ok in enumerate(fam._block_flags(elems, every)):
+        for a, ok in enumerate(fam._every_block_flags(elems)):
             if ok:
                 rest = r = full ^ a
                 while True:

@@ -5,11 +5,12 @@ import sys
 import time
 import tracemalloc
 from array import array
-from math import gcd, isqrt
+from itertools import product
+from math import gcd, isqrt, prod
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multrep import (
@@ -46,6 +47,7 @@ from multrep.integer_sets import (
 )
 
 from conftest import sieve_squarefree
+from test_repcount import SMALL_PRIMES, any_sets
 
 
 def test_membership_spec_examples():
@@ -466,3 +468,55 @@ def test_prime_index_matches_primepi_before_and_after_the_sieve_grows(
     assert prime_index(p) == sympy.primepi(p)
     assert len(integer_sets._spf) > 1 << 21
     agrees(1 << 21)
+
+
+def per_divisor(d, factors, where):
+    """contains_factored of each divisor of the integer with these
+    factors that where marks (every one when where is None), in divisor
+    index order: the exponent of the first prime varies fastest."""
+    primes = sorted(factors, reverse=True)
+    row = []
+    for x, exps in enumerate(product(*(range(factors[p] + 1) for p in primes))):
+        f = {p: a for p, a in sorted(zip(primes, exps)) if a}
+        asked = where is None or where[x]
+        row.append(asked and d.contains_factored(prod(p**a for p, a in f.items()), f))
+    return row
+
+
+def flags_outcome(row_of):
+    """The row as booleans, or the type of the error it raised."""
+    try:
+        return [bool(ok) for ok in row_of()]
+    except (ResourceLimitError, FactorizationLimitError) as exc:
+        return type(exc)
+
+
+BIG_PRIMES = (4194319, 4194329)  # primes whose index lies beyond the 2^22 cap
+divided = st.one_of(
+    st.just(1),
+    st.builds(pow, st.sampled_from(SMALL_PRIMES + BIG_PRIMES), st.integers(1, 5)),
+    # smooth n
+    st.lists(st.tuples(st.sampled_from(SMALL_PRIMES), st.integers(1, 4)), max_size=5).map(
+        lambda pes: prod(p**e for p, e in dict(pes).items())
+    ),
+    # squarefree n with a prime beyond the cap
+    st.tuples(
+        st.sets(st.sampled_from(SMALL_PRIMES), max_size=5),
+        st.sets(st.sampled_from(BIG_PRIMES), min_size=1),
+    ).map(lambda sets: prod(sets[0] | sets[1])),
+).filter(lambda n: n <= MAX_INT)
+
+
+# a Union asks a later part only where the parts before it refuse the
+# divisor, and an Intersection only where they accept it: at 5p neither
+# asks SmoothOver about p, whose index it cannot read
+@settings(max_examples=400, deadline=None)
+@given(any_sets, divided, st.none() | st.randoms(use_true_random=False))
+@example(Union((Primes(), SmoothOver(IndexResidue(2, 0)))), 5 * BIG_PRIMES[0], None)
+@example(Intersection((Singleton((5,)), SmoothOver(IndexResidue(2, 0)))), 5 * BIG_PRIMES[1], None)
+def test_divisor_flags_equal_contains_factored_per_divisor(d, n, rng):
+    factors = factorize(n)
+    size = prod(e + 1 for e in factors.values())
+    where = None if rng is None else [rng.random() < 0.5 for _ in range(size)]
+    expected = flags_outcome(lambda: per_divisor(d, factors, where))
+    assert flags_outcome(lambda: d.divisor_flags(factors, where)) == expected

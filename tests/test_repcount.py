@@ -458,6 +458,17 @@ def test_scan_counts_checks_its_range_at_the_call():
         scan_counts(build("fundamental", 2).system, 5, 4)
 
 
+GRAMMAR = "parts:Union(PowersOf(3,0,2),Primes);PrimesWithOne;Singleton(1,2,4)"
+
+
+@pytest.mark.parametrize("spec", ["s-inf:h=3,s=3", GRAMMAR, "fundamental:h=3"])
+def test_an_empty_range_yields_no_counts_and_n_0_raises_as_per_n(spec):
+    system = parse_system_spec(spec)
+    assert list(repcount._counts(system, range(5, 5))) == []
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        list(repcount._counts(system, range(0, 5)))
+
+
 @pytest.mark.parametrize(
     "spec", ["fundamental:h=3", "parts:AllNaturals;AllNaturals;AllNaturals"]
 )
@@ -531,9 +542,6 @@ def test_multiplicative_streams_stop_and_raise_where_per_n_counts_do(monkeypatch
         got, factored = stream_outcomes(monkeypatch, system, ns)
         assert got == [1, (ValueError, "n must be >= 1")]
         assert factored == ns[1:]
-
-
-GRAMMAR = "parts:Union(PowersOf(3,0,2),Primes);PrimesWithOne;Singleton(1,2,4)"
 
 
 @pytest.mark.parametrize("spec", ["s-inf:h=3,s=3", GRAMMAR])

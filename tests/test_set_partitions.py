@@ -112,6 +112,30 @@ def test_cover_count_memory_is_bounded_for_image_families():
     assert peak < 16 * 2**20
 
 
+# peaks at the parent of the change that added this test (one run each,
+# Python 3.11, 2-core VM): 8.8 MiB for the seeded fold, 36.4 MiB for the
+# fold from the tail's 2^20 counts, which it holds as Python ints
+@pytest.mark.parametrize(
+    "bases, count, bound",
+    [
+        ((AllNaturals(), PrimesWithOne()), 21, 12),
+        ((Primes(), AllNaturals(), AllNaturals()), 20 * 2**19, 48),
+    ],
+    ids=["seeded", "tail"],
+)
+def test_a_fold_of_20_elements_stays_under_its_memory_bound(bases, count, bound):
+    # 20 elements are the most a fold without a middle family takes
+    primes = primes_up_to(71)
+    fams = [image_family(base, primes) for base in bases]
+    tracemalloc.start()
+    try:
+        assert count_ordered_covers(primes, fams) == count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 2**20
+
+
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 IMAGE_BASES = [
@@ -155,6 +179,8 @@ def test_block_flags_equal_contains_block_per_mask():
             fam = image_family(base, universe)
             flags = fam._block_flags(elems, range(1 << len(elems)))
             assert list(flags) == mask_decisions(fam, elems), (base, elems, universe)
+            every = fam._every_block_flags(elems)
+            assert every == mask_decisions(fam, elems), (base, elems, universe)
             check_sparse_block_flags(fam, elems, rng)
     assert list(image_family(AllNaturals(), [])._block_flags((), range(1))) == [True]
     assert list(image_family(Primes(), [2])._block_flags((), range(1))) == [False]
@@ -214,6 +240,30 @@ def test_a_non_multiplicative_image_family_reads_a_block_in_increasing_order(s):
     first = image_family(Union((Primes(), SmoothOver(IndexResidue(2, 0)))), s)
     assert not first.contains_block(frozenset(s))
     assert count_ordered_covers(s, [first, image_family(Singleton((1,)), s)]) == 0
+
+
+@pytest.mark.parametrize("s", BIG_PRIME_SETS, ids=str)
+def test_a_non_multiplicative_middle_part_reads_a_divisor_in_increasing_order(s):
+    # both sides decide the middle part at every divisor of 5p: the Union
+    # asks SmoothOver only where Primes refuses, at 1 and 5p, and at 5p
+    # SmoothOver refuses 5 before it asks for the index of p
+    bases = (Singleton((1,)), Union((Primes(), SmoothOver(IndexResidue(2, 0)))), PrimesWithOne())
+    system = MultiplicativeSystem(bases)
+    assert count_system_reps(system, math.prod(s), tuple_cap=0).count == 2
+    assert count_ordered_covers(s, [image_family(base, s) for base in bases]) == 2
+
+
+def test_neither_side_asks_primes_divisor_by_divisor(monkeypatch):
+    def refuse(self, n, factors):
+        raise AssertionError(f"{type(self).__name__} asked about {n} alone")
+
+    monkeypatch.setattr(Primes, "contains_factored", refuse)
+    monkeypatch.setattr(PrimesWithOne, "contains_factored", refuse)
+    system = build("s-inf", 2, s=2).system  # AllNaturals; PrimesWithOne
+    q = math.prod(PRIMES)
+    assert count_system_reps(system, q, tuple_cap=0).count == 11
+    report = verify_correspondence(system, q, PRIMES)
+    assert (report.system_count, report.cover_count) == (11, 11)
 
 
 @pytest.mark.parametrize("p", [s[1] for s in BIG_PRIME_SETS])
