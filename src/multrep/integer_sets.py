@@ -416,7 +416,7 @@ class SetDescription:
         """Membership of p^0, p^1, ..., p^e for a prime p."""
         return [self.contains(p**a) for a in range(e + 1)]
 
-    def divisor_flags(self, factors: dict[int, int], where=None) -> list:
+    def divisor_flags(self, factors: dict[int, int], where: list | None = None) -> list:
         """Membership of each divisor of the integer n whose factorization
         {prime: exponent, primes ascending} is given, in divisor index
         order (_divisor_values): on a squarefree n that index is the
@@ -463,7 +463,7 @@ class AllNaturals(SetDescription):
     def prime_power_flags(self, p: int, e: int) -> list[bool]:
         return [True] * (e + 1)
 
-    def divisor_flags(self, factors: dict[int, int], where=None) -> list:
+    def divisor_flags(self, factors: dict[int, int], where: list | None = None) -> list:
         return [True] * _steps(factors)[-1] if where is None else list(where)
 
     def iter_up_to(self, limit: int):
@@ -498,7 +498,7 @@ class Singleton(SetDescription):
     def contains(self, n: int) -> bool:
         return n in self.values
 
-    def divisor_flags(self, factors: dict[int, int], where=None) -> list:
+    def divisor_flags(self, factors: dict[int, int], where: list | None = None) -> list:
         indices = [_divisor_index(factors, v) for v in self.values]
         return _marked(_steps(factors)[-1], [x for x in indices if x is not None], where)
 
@@ -537,7 +537,7 @@ class PowersOf(SetDescription):
             return False
         return e >= self.lo and (self.hi is None or e <= self.hi)
 
-    def divisor_flags(self, factors: dict[int, int], where=None) -> list:
+    def divisor_flags(self, factors: dict[int, int], where: list | None = None) -> list:
         # base^k for k up to the last that divides n, never base^lo itself
         n = math.prod(p**e for p, e in factors.items())
         indices, v, k = [], 1, 0
@@ -564,7 +564,7 @@ class Primes(SetDescription):
     def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
         return list(factors.values()) == [1]
 
-    def divisor_flags(self, factors: dict[int, int], where=None) -> list:
+    def divisor_flags(self, factors: dict[int, int], where: list | None = None) -> list:
         steps = _steps(factors)
         return _marked(steps[-1], steps[:-1], where)
 
@@ -580,7 +580,7 @@ class PrimesWithOne(SetDescription):
     def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
         return n == 1 or list(factors.values()) == [1]
 
-    def divisor_flags(self, factors: dict[int, int], where=None) -> list:
+    def divisor_flags(self, factors: dict[int, int], where: list | None = None) -> list:
         steps = _steps(factors)
         return _marked(steps[-1], [0] + steps[:-1], where)
 
@@ -639,7 +639,7 @@ class Union(SetDescription):
     def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
         return any(part.contains_factored(n, factors) for part in self.parts)
 
-    def divisor_flags(self, factors: dict[int, int], where=None) -> list:
+    def divisor_flags(self, factors: dict[int, int], where: list | None = None) -> list:
         first, *rest = self.parts
         row = first.divisor_flags(factors, where)
         for part in rest:
@@ -676,7 +676,7 @@ class Intersection(SetDescription):
     def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
         return all(part.contains_factored(n, factors) for part in self.parts)
 
-    def divisor_flags(self, factors: dict[int, int], where=None) -> list:
+    def divisor_flags(self, factors: dict[int, int], where: list | None = None) -> list:
         if where is None and self.multiplicative:
             return super().divisor_flags(factors)
         for part in self.parts:

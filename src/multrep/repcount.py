@@ -312,10 +312,11 @@ def _counts(system: MultiplicativeSystem, ns):
     (a non-empty range of step 1 from n >= 1, ending at or below
     SIEVE_LIMIT), F is convolved over [1, hi] and g(n) sums F(m) G(n / m)
     over the support of F, walking the multiples of each m in the window
-    (g = G as above if F is 1 at 1 alone).  Any other sequence, or a window too narrow for its
-    end, is counted per n by count_system_reps: F is given up once
-    building it visits more members and pairs than width * h * ln(hi),
-    the cost of per-n counts (h parts decided on about ln(n) divisors).
+    (g = G as above if F is 1 at 1 alone).  Any other sequence, or a
+    window too narrow for its end, is counted per n by count_system_reps:
+    F is given up once building it visits more members and pairs than
+    width * h * ln(hi), the cost of per-n counts (h parts decided on
+    about ln(n) divisors).
     Only the convolution counts ahead, so a caller that stops early pays
     for no more n, and where a count raises (a factorization or a prime
     index out of range) every count before it has been yielded.
@@ -323,7 +324,8 @@ def _counts(system: MultiplicativeSystem, ns):
     mult = [part for part in system.parts if part.multiplicative]
     rest = [part for part in system.parts if not part.multiplicative]
     conv = None if rest else {1: 1}
-    if rest and isinstance(ns, range) and ns.step == 1 and 1 <= ns.start < ns.stop <= SIEVE_LIMIT:
+    window = isinstance(ns, range) and ns.step == 1
+    if rest and window and 1 <= ns.start < ns.stop <= SIEVE_LIMIT:
         hi = ns[-1]
         conv = _convolve(rest, hi, int(len(ns) * len(system.parts) * log(hi)))
     if conv is None:

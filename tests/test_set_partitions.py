@@ -112,9 +112,9 @@ def test_cover_count_memory_is_bounded_for_image_families():
     assert peak < 16 * 2**20
 
 
-# peaks at the parent of the change that added this test (one run each,
-# Python 3.11, 2-core VM): 8.8 MiB for the seeded fold, 36.4 MiB for the
-# fold from the tail's 2^20 counts, which it holds as Python ints
+# measured peaks (Python 3.11, 2-core VM): 8.6-8.8 MiB for the seeded
+# fold, 36.4 MiB for the fold from the tail's 2^20 counts, which it holds
+# as Python ints
 @pytest.mark.parametrize(
     "bases, count, bound",
     [
@@ -255,7 +255,7 @@ def test_a_non_multiplicative_middle_part_reads_a_divisor_in_increasing_order(s)
 
 def test_neither_side_asks_primes_divisor_by_divisor(monkeypatch):
     def refuse(self, n, factors):
-        raise AssertionError(f"{type(self).__name__} asked about {n} alone")
+        raise AssertionError(f"{type(self).__name__}.contains_factored({n}) was called")
 
     monkeypatch.setattr(Primes, "contains_factored", refuse)
     monkeypatch.setattr(PrimesWithOne, "contains_factored", refuse)
