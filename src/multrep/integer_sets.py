@@ -18,6 +18,7 @@ import heapq
 import math
 import re
 from array import array
+from collections.abc import Sequence
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -397,9 +398,9 @@ class SetDescription:
     kind: the kinds here build no factorization per divisor, and a kind
     that overrides only contains_factored is asked divisor by divisor.
     repcount decides each part above its multiplicative tail, and
-    set_partitions each middle or seeding image family, through it;
-    both decide their first part lazily, only at the divisors whose
-    cofactor the other parts can represent.
+    set_partitions each image family above its tail, through it; both
+    restrict their first part, by where, to the divisors whose cofactor
+    the other parts can represent.
     """
 
     multiplicative = False
@@ -416,15 +417,16 @@ class SetDescription:
         """Membership of p^0, p^1, ..., p^e for a prime p."""
         return [self.contains(p**a) for a in range(e + 1)]
 
-    def divisor_flags(self, factors: dict[int, int], where: list | None = None) -> list:
+    def divisor_flags(self, factors: dict[int, int], where: Sequence | None = None) -> list:
         """Membership of each divisor of the integer n whose factorization
         {prime: exponent, primes ascending} is given, in divisor index
         order (_divisor_values): on a squarefree n that index is the
-        bitmask of the divisor's primes.  where, a list of flags in the
-        same order, restricts the questions to the divisors it marks,
-        and the others read False.  For the kinds here the row raises
-        exactly where asking contains_factored about each divisor it
-        covers would, with the same error type.
+        bitmask of the divisor's primes.  where, a row of flags in the
+        same order (a list, bytes or bytearray, whose true entries
+        mark), restricts the questions to the divisors it marks, and the
+        others read False.  For the kinds here the row raises exactly
+        where asking contains_factored about each divisor it covers
+        would, with the same error type.
 
         Asked about every divisor, a multiplicative kind spreads its
         prime_power_flags, one question per prime power.  Primes and
@@ -463,7 +465,7 @@ class AllNaturals(SetDescription):
     def prime_power_flags(self, p: int, e: int) -> list[bool]:
         return [True] * (e + 1)
 
-    def divisor_flags(self, factors: dict[int, int], where: list | None = None) -> list:
+    def divisor_flags(self, factors: dict[int, int], where: Sequence | None = None) -> list:
         return [True] * _steps(factors)[-1] if where is None else list(where)
 
     def iter_up_to(self, limit: int):
@@ -498,7 +500,7 @@ class Singleton(SetDescription):
     def contains(self, n: int) -> bool:
         return n in self.values
 
-    def divisor_flags(self, factors: dict[int, int], where: list | None = None) -> list:
+    def divisor_flags(self, factors: dict[int, int], where: Sequence | None = None) -> list:
         indices = [_divisor_index(factors, v) for v in self.values]
         return _marked(_steps(factors)[-1], [x for x in indices if x is not None], where)
 
@@ -537,7 +539,7 @@ class PowersOf(SetDescription):
             return False
         return e >= self.lo and (self.hi is None or e <= self.hi)
 
-    def divisor_flags(self, factors: dict[int, int], where: list | None = None) -> list:
+    def divisor_flags(self, factors: dict[int, int], where: Sequence | None = None) -> list:
         # base^k for k up to the last that divides n, never base^lo itself
         n = math.prod(p**e for p, e in factors.items())
         indices, v, k = [], 1, 0
@@ -564,7 +566,7 @@ class Primes(SetDescription):
     def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
         return list(factors.values()) == [1]
 
-    def divisor_flags(self, factors: dict[int, int], where: list | None = None) -> list:
+    def divisor_flags(self, factors: dict[int, int], where: Sequence | None = None) -> list:
         steps = _steps(factors)
         return _marked(steps[-1], steps[:-1], where)
 
@@ -580,7 +582,7 @@ class PrimesWithOne(SetDescription):
     def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
         return n == 1 or list(factors.values()) == [1]
 
-    def divisor_flags(self, factors: dict[int, int], where: list | None = None) -> list:
+    def divisor_flags(self, factors: dict[int, int], where: Sequence | None = None) -> list:
         steps = _steps(factors)
         return _marked(steps[-1], [0] + steps[:-1], where)
 
@@ -639,7 +641,7 @@ class Union(SetDescription):
     def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
         return any(part.contains_factored(n, factors) for part in self.parts)
 
-    def divisor_flags(self, factors: dict[int, int], where: list | None = None) -> list:
+    def divisor_flags(self, factors: dict[int, int], where: Sequence | None = None) -> list:
         first, *rest = self.parts
         row = first.divisor_flags(factors, where)
         for part in rest:
@@ -676,7 +678,7 @@ class Intersection(SetDescription):
     def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
         return all(part.contains_factored(n, factors) for part in self.parts)
 
-    def divisor_flags(self, factors: dict[int, int], where: list | None = None) -> list:
+    def divisor_flags(self, factors: dict[int, int], where: Sequence | None = None) -> list:
         if where is None and self.multiplicative:
             return super().divisor_flags(factors)
         for part in self.parts:

@@ -257,7 +257,9 @@ def count_system_reps(
     pairs members with supports on the divisor lattice, and
     ResourceLimitError is raised if that takes more than PAIR_CAP (2^26)
     pairs, as Union(Squarefree,Primes) twice before AllNaturals at the
-    15-prime primorial does."""
+    15-prime primorial does.  ValueError for a negative tuple_cap."""
+    if tuple_cap < 0:
+        raise ValueError("tuple_cap must be >= 0")
     table = _Lattice(system.parts, factorize(n))
     tuples = ()
     if tuple_cap > 0 and table.count:

@@ -24,24 +24,27 @@ FOLD_CAP = 3**13
 
 
 class FamilyDescription:
-    """Decidable membership for finite blocks."""
+    """Decidable membership for finite blocks; _block_flags decides every
+    subset of some elements in one call, as SetDescription.divisor_flags
+    decides every divisor of a factored n."""
 
     def contains_block(self, block: frozenset[int]) -> bool:
         raise NotImplementedError
 
-    def _block_flags(self, elems, masks):
-        """contains_block of the subset of elems each mask picks, one flag
-        per mask, lazily and in the order that the iterable masks, read
-        once, lists them: bit i picks elems[i]."""
-        low, high, half = _halves(elems)
-        low_mask = len(low) - 1
-        for a in masks:
-            block = frozenset(low[a & low_mask][1]).union(high[a >> half][1])
-            yield self.contains_block(block)
-
-    def _every_block_flags(self, elems) -> list:
-        """_block_flags of every mask over elems, in mask order."""
-        return list(self._block_flags(elems, range(1 << len(elems))))
+    def _block_flags(self, elems, where=None) -> list:
+        """contains_block of the subset of the distinct elems that each
+        mask picks (bit i picks elems[i]), one flag per mask, in mask
+        order.  where, 2^len(elems) flags in the same order (a list,
+        bytes or bytearray, whose true entries mark), restricts the
+        questions to the masks it marks, asked in increasing order, and
+        the others read False.  Here each marked mask's block is built
+        and asked in turn."""
+        size = 1 << len(elems)
+        asked = range(size) if where is None else compress(range(size), where)
+        row = [False] * size
+        for a in asked:
+            row[a] = self.contains_block(frozenset(e for i, e in enumerate(elems) if a >> i & 1))
+        return row
 
 
 @dataclass(frozen=True)
@@ -65,8 +68,9 @@ class ByCardinality(FamilyDescription):
     def contains_block(self, block: frozenset[int]) -> bool:
         return len(block) in self.sizes
 
-    def _block_flags(self, elems, masks):
-        return (a.bit_count() in self.sizes for a in masks)
+    def _block_flags(self, elems, where=None) -> list:
+        masks = range(1 << len(elems))
+        return [a.bit_count() in self.sizes and (where is None or bool(where[a])) for a in masks]
 
 
 def by_cardinality(sizes) -> ByCardinality:
@@ -91,31 +95,23 @@ class ImageOfSet(FamilyDescription):
         factors = dict.fromkeys(sorted(block), 1)
         return self.base.contains_factored(math.prod(block), factors)
 
-    def _block_flags(self, elems, masks):
-        outside = sum(1 << i for i, p in enumerate(elems) if p not in self.universe)
-        low, high, half = _halves(elems)
-        low_mask = len(low) - 1
-        for a in masks:
-            if a & outside:
-                yield False
-            else:
-                (lp, lf), (hp, hf) = low[a & low_mask], high[a >> half]
-                yield self.base.contains_factored(lp * hp, lf | hf)
-
-    def _every_block_flags(self, elems) -> list:
+    def _block_flags(self, elems, where=None) -> list:
         """The base's divisor_flags at the product of the elems inside the
-        universe, whose divisor index is the mask over those elems; a
-        mask that picks an element outside reads False, unasked."""
+        universe, whose divisor index is the mask over those elems, asked
+        where the mask over elems that it stands for is marked; a mask
+        that picks an element outside reads False, unasked."""
         inside = [e for e in elems if e in self.universe]
-        flags = self.base.divisor_flags(dict.fromkeys(inside, 1))
+        factors = dict.fromkeys(inside, 1)
         if len(inside) == len(elems):
-            return flags
-        spots = [0]  # the mask over elems of each mask over inside
+            return self.base.divisor_flags(factors, where)
+        spots = [0]  # the mask over elems of each mask over inside, ascending
         for i, e in enumerate(elems):
             if e in self.universe:
                 spots += [a | 1 << i for a in spots]
+        if where is not None:
+            where = [where[a] for a in spots]
         out = [False] * (1 << len(elems))
-        for a, ok in zip(spots, flags):
+        for a, ok in zip(spots, self.base.divisor_flags(factors, where)):
             out[a] = ok
         return out
 
@@ -123,20 +119,6 @@ class ImageOfSet(FamilyDescription):
 def image_family(base: SetDescription, universe) -> ImageOfSet:
     """Raises ValueError when the universe holds a number that is not prime."""
     return ImageOfSet(base, frozenset(universe))
-
-
-def _halves(elems):
-    """The product and factorization {e: 1} of each subset of the lower
-    and of the upper half of the distinct elems, indexed by mask, and the
-    size of the lower half.  The subset of elems that the mask a picks
-    (bit i picks elems[i]) is the union of low[a & low_mask] and
-    high[a >> half], so that only the 2^(n/2) subsets of each are held."""
-    half = len(elems) // 2
-    low, high = [(1, {})], [(1, {})]
-    for out, part in ((low, elems[:half]), (high, elems[half:])):
-        for e in part:
-            out += [(m * e, f | {e: 1}) for m, f in out]
-    return low, high, half
 
 
 def count_ordered_covers(s, families) -> int:
@@ -153,25 +135,24 @@ def count_ordered_covers(s, families) -> int:
     the first element that no family holds.  The families above fold
     over bitmasks from there, bit i standing for the i-th smallest
     element, or from the last family's flags when the tail is empty:
-    ways[r] counts the covers of the mask r so far.  A middle family
-    (any but the first above the tail, or above the last family when it
-    starts the fold) and the last family that starts it are decided at
-    every mask in one call: an image family takes the flags from its
-    base's divisor_flags at the product of the elements inside its
-    universe (a mask is that divisor's index, and a mask that picks an
-    element outside reads False, unasked), so Primes, PrimesWithOne,
-    Singleton, PowersOf, the multiplicative kinds and their unions and
-    intersections need no factorization per block.  A block a that a
-    middle family accepts adds ways[r] at r | a for every submask r of
-    the complement of a.  The first family stays lazy: one call returns
-    a flag for each mask whose complement the rest cover, and no other.
+    ways[r] counts the covers of the mask r so far.  Each family above
+    the tail is decided in one _block_flags call: a middle family (any
+    but the first above the tail, or above the last family when it
+    starts the fold) and the last family that starts it at every mask,
+    the first only at the masks whose complement the rest cover, as the
+    system side restricts its part 0.  An image family takes the flags
+    from its base's divisor_flags at the product of the elements inside
+    its universe (a mask that picks an element outside reads False,
+    unasked), so Primes, PrimesWithOne, Singleton, PowersOf, the
+    multiplicative kinds and their unions and intersections need no
+    factorization per block.  A block a that a middle family accepts
+    adds ways[r] at r | a for every submask r of the complement of a.
     That is 3^|s| submask steps per middle family and at most 2^|s|
-    decisions per family.  Once the tail is
-    found, before any family is asked, ResourceLimitError when the
-    fold's steps per family, 3^|s| with a middle family and 2^|s|
-    without, exceed FOLD_CAP (3^13): a fold takes up to 13 elements
-    with a middle family and 20 without.  A cover that is all tail
-    folds nothing and is never capped.
+    decisions per family.  Once the tail is found, before any family is
+    asked, ResourceLimitError when the fold's steps per family, 3^|s|
+    with a middle family and 2^|s| without, exceed FOLD_CAP (3^13): a
+    fold takes up to 13 elements with a middle family and 20 without.
+    A cover that is all tail folds nothing and is never capped.
     """
     fams = tuple(families)
     if len(fams) < 2:
@@ -199,16 +180,15 @@ def count_ordered_covers(s, families) -> int:
             f"above the cap {FOLD_CAP}"
         )
     full = (1 << len(elems)) - 1
-    every = range(full + 1)
     if seeds:
-        ways = fams[t]._every_block_flags(elems)
+        ways = fams[t]._block_flags(elems)
     else:
         ways = [1]
         for k in held:
             ways += [w * k for w in ways]
     for fam in reversed(fams[1:t]):
         folded = [0] * (full + 1)
-        for a, ok in enumerate(fam._every_block_flags(elems)):
+        for a, ok in enumerate(fam._block_flags(elems)):
             if ok:
                 rest = r = full ^ a
                 while True:
@@ -217,11 +197,13 @@ def count_ordered_covers(s, families) -> int:
                         break
                     r = (r - 1) & rest
         ways = folded
-    # reversed(ways)[a] is ways[full ^ a]; the masks are generated, not
-    # held, and the flags come back in their order
-    masks = compress(every, reversed(ways))
-    flags = fams[0]._block_flags(elems, masks)
-    return sum(w for w, ok in zip(filter(None, reversed(ways)), flags) if ok)
+    # the first family is asked only at the masks a whose complement the
+    # rest cover, where ways[full ^ a] is not 0; only those counts are
+    # kept, in the order of their masks, before its flags are built
+    where = bytes(map(bool, reversed(ways)))
+    ways = list(filter(None, reversed(ways)))
+    flags = fams[0]._block_flags(elems, where)
+    return sum(compress(ways, compress(flags, where)))
 
 
 def multinomial(n: int, ks) -> int:

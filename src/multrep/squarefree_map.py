@@ -99,10 +99,12 @@ def factorizations_as_partitions(
     gives exactly the ordered factorizations of q into coprime
     squarefree factors.  The tuples share the 2^omega(q) blocks, the
     subsets of phi(q), each built once and indexed by mask: bit i picks
-    the i-th smallest prime.
+    the i-th smallest prime.  ValueError for h < 2 or a negative cap.
     """
     if h < 2:
         raise ValueError("h must be >= 2")
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     s = phi(q)
     total = h ** len(s)
     if total > cap:

@@ -31,6 +31,8 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_candidates < 1:
             raise ValueError("max_candidates must be >= 1")
+        if self.max_n < 2:
+            raise ValueError("max_n must be >= 2")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
 
@@ -81,7 +83,7 @@ def _squarefree_rich(max_n: int):
 
 
 def candidate_stream(strategy: str, max_n: int):
-    """Deterministic stream of candidates in (2, max_n], no duplicates."""
+    """Deterministic stream of candidates in [2, max_n], no duplicates."""
     if strategy == "exhaustive":
         yield from range(2, max_n + 1)
     elif strategy == "squarefree-rich":

@@ -432,6 +432,22 @@ def test_ramsey_command_refuses_a_negative_m(capsys, tmp_path):
         assert (code, out, err) == (2, "", "error: m must be >= 0\n")
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("count", "--system", "fundamental:h=2", "--n", "12", "--tuple-cap", "-1"),
+         "tuple_cap must be >= 0"),
+        (("witness", "--system", "fundamental:h=2", "--target", "2", "--max-n", "-5"),
+         "max_n must be >= 2"),
+        (("witness", "--system", "fundamental:h=2", "--target", "2", "--max-n", "1"),
+         "max_n must be >= 2"),
+        (("partitions", "--q", "30", "--h", "2", "--cap", "-1"), "cap must be >= 0"),
+    ],
+)
+def test_a_negative_cap_or_a_max_n_below_2_is_a_usage_error(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
 def test_byte_identical_output(capsys):
     args = ("window", "--system", "one-t:h=2,t=2", "--lo", "2", "--hi", "50",
             "--format", "csv")

@@ -163,6 +163,8 @@ def test_input_validation():
         count_system_reps(system, 0)
     with pytest.raises(FactorizationLimitError):
         count_system_reps(system, 2**63)
+    with pytest.raises(ValueError, match="^tuple_cap must be >= 0$"):
+        count_system_reps(system, 12, tuple_cap=-1)
     with pytest.raises(ValueError):
         window_stats(system, 1, 10)
     with pytest.raises(ValueError):

@@ -112,16 +112,17 @@ def test_cover_count_memory_is_bounded_for_image_families():
     assert peak < 16 * 2**20
 
 
-# measured peaks (Python 3.11, 2-core VM): 8.6-8.8 MiB for the seeded
-# fold, 36.4 MiB for the fold from the tail's 2^20 counts, which it holds
-# as Python ints
+# measured peaks (Python 3.11, 2-core VM): 9.2 MiB for each seeded fold,
+# which holds the first family's row and a 1-byte where, and 41.0 MiB for
+# the fold from the tail's 2^20 counts, which it holds as Python ints
 @pytest.mark.parametrize(
     "bases, count, bound",
     [
         ((AllNaturals(), PrimesWithOne()), 21, 12),
         ((Primes(), AllNaturals(), AllNaturals()), 20 * 2**19, 48),
+        ((Primes(), PrimesWithOne()), 0, 12),
     ],
-    ids=["seeded", "tail"],
+    ids=["seeded", "tail", "sparse"],
 )
 def test_a_fold_of_20_elements_stays_under_its_memory_bound(bases, count, bound):
     # 20 elements are the most a fold without a middle family takes
@@ -159,15 +160,15 @@ def mask_decisions(fam, elems):
     ]
 
 
-def check_sparse_block_flags(fam, elems, rng):
-    """_block_flags over a sparse list of masks in random order comes back
-    in the listed order."""
-    every = range(1 << len(elems))
+def check_block_flags(fam, elems, rng):
+    """_block_flags over elems equals the per-mask decisions, in full and
+    under a random where, a row of 1-byte flags, where every mask that
+    it leaves unmarked reads False."""
     expected = mask_decisions(fam, elems)
-    masks = rng.sample(every, rng.randrange(0, len(every) + 1) // 3)
-    assert list(fam._block_flags(elems, masks)) == [expected[a] for a in masks], (
-        fam, elems, masks,
-    )
+    assert fam._block_flags(elems) == expected, (fam, elems)
+    where = bytes(rng.random() < 0.4 for _ in expected)
+    flags = fam._block_flags(elems, where)
+    assert flags == [ok and bool(w) for ok, w in zip(expected, where)], (fam, elems, where)
 
 
 def test_block_flags_equal_contains_block_per_mask():
@@ -176,24 +177,14 @@ def test_block_flags_equal_contains_block_per_mask():
         for _ in range(12):
             elems = tuple(sorted(rng.sample(PRIMES + (4, 9), rng.randrange(0, 9))))
             universe = rng.sample(PRIMES, rng.randrange(0, len(PRIMES) + 1))
-            fam = image_family(base, universe)
-            flags = fam._block_flags(elems, range(1 << len(elems)))
-            assert list(flags) == mask_decisions(fam, elems), (base, elems, universe)
-            every = fam._every_block_flags(elems)
-            assert every == mask_decisions(fam, elems), (base, elems, universe)
-            check_sparse_block_flags(fam, elems, rng)
-    assert list(image_family(AllNaturals(), [])._block_flags((), range(1))) == [True]
-    assert list(image_family(Primes(), [2])._block_flags((), range(1))) == [False]
+            check_block_flags(image_family(base, universe), elems, rng)
+        check_block_flags(image_family(base, PRIMES[:6]), PRIMES[:6], rng)
+    assert image_family(AllNaturals(), [])._block_flags(()) == [True]
+    assert image_family(Primes(), [2])._block_flags(()) == [False]
+    assert image_family(AllNaturals(), [2])._block_flags((), b"\0") == [False]
     for fam in (by_cardinality({0, 2}), explicit_family([(2,), (3, 5), ()])):
         for k in range(5):
-            elems = PRIMES[:k]
-            flags = fam._block_flags(elems, range(1 << k))
-            assert list(flags) == mask_decisions(fam, elems)
-            check_sparse_block_flags(fam, elems, rng)
-    for fam in (image_family(Primes(), PRIMES), by_cardinality({1, 2})):
-        assert list(fam._block_flags(PRIMES, [])) == []
-        flags = fam._block_flags(PRIMES, [7, 1, 4, 1, 0])
-        assert list(flags) == [False, True, True, True, False]
+            check_block_flags(fam, PRIMES[:k], rng)
 
 
 class AskedBlocks(FamilyDescription):
@@ -264,6 +255,11 @@ def test_neither_side_asks_primes_divisor_by_divisor(monkeypatch):
     assert count_system_reps(system, q, tuple_cap=0).count == 11
     report = verify_correspondence(system, q, PRIMES)
     assert (report.system_count, report.cover_count) == (11, 11)
+    # a first family of Primes above a tail, at the 12-prime primorial
+    system = parse_system_spec("parts:Primes;AllNaturals;AllNaturals")
+    ps = primes_up_to(37)
+    report = verify_correspondence(system, math.prod(ps), ps)
+    assert (report.system_count, report.cover_count) == (12 * 2**11, 12 * 2**11)
 
 
 @pytest.mark.parametrize("p", [s[1] for s in BIG_PRIME_SETS])

@@ -132,6 +132,8 @@ def test_partitions_follow_the_oracle_order():
 def test_partitions_cap():
     with pytest.raises(ResourceLimitError):
         factorizations_as_partitions(30030, 3, cap=100)
+    with pytest.raises(ValueError, match="^cap must be >= 0$"):
+        factorizations_as_partitions(30, 2, cap=-1)
 
 
 def test_omega_examples():

@@ -119,6 +119,11 @@ def test_budget_validation():
         SearchBudget(max_candidates=0)
     with pytest.raises(ValueError):
         SearchBudget(strategy="magic")
+    for max_n in (1, 0, -5):
+        with pytest.raises(ValueError, match="^max_n must be >= 2$"):
+            SearchBudget(max_n=max_n)
+    for strategy in STRATEGIES:  # each stream starts at 2
+        assert list(candidate_stream(strategy, SearchBudget(max_n=2).max_n)) == [2]
 
 
 def reference_search(system, target, budget):
