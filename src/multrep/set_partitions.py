@@ -199,7 +199,8 @@ def count_ordered_covers(s, families) -> int:
         ways = folded
     # the first family is asked only at the masks a whose complement the
     # rest cover, where ways[full ^ a] is not 0; only those counts are
-    # kept, in the order of their masks, before its flags are built
+    # kept, in the order of their masks, so that the full list is freed
+    # before the first family's row is built
     where = bytes(map(bool, reversed(ways)))
     ways = list(filter(None, reversed(ways)))
     flags = fams[0]._block_flags(elems, where)
