@@ -702,9 +702,12 @@ def membership(d: SetDescription, n: int) -> bool:
 def enumerate_up_to(
     d: SetDescription, limit: int, cap: int = DEFAULT_ELEMENT_CAP
 ) -> list[int]:
-    """All members <= limit, ascending, no duplicates."""
+    """All members <= limit, ascending, no duplicates; ResourceLimitError
+    past cap members, ValueError for limit < 1 or cap < 0."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     out: list[int] = []
     for v in d.iter_up_to(limit):
         if len(out) == cap:

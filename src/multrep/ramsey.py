@@ -258,13 +258,15 @@ def find_homogeneous(
     """Lexicographically least size-m subset with all k-subsets one color.
 
     Returns None when no such subset exists in this finite ground set;
-    raises ValueError for m < 0, and SearchBudgetExceeded if the node
-    budget runs out first.  The budget counts positions tried.  For k = 2
-    the search tries only the positions joined in one color to every
-    chosen one, and only while enough of them are left to reach m, so it
-    tries fewer positions than a plain scan and may resolve a search
-    that such a scan could not.
+    raises ValueError for a negative budget or m, before any other work,
+    and SearchBudgetExceeded if the node budget runs out first.  The
+    budget counts positions tried.  For k = 2 the search tries only the
+    positions joined in one color to every chosen one, and only while
+    enough of them are left to reach m, so it tries fewer positions than
+    a plain scan and may resolve a search that such a scan could not.
     """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     if m < 0:
         raise ValueError("m must be >= 0")
     ground = coloring.ground
@@ -410,8 +412,11 @@ def iterated_chain(
     colorings[k], |X_k| >= sizes[k].  Level k searches inside X_{k-1}.
 
     Returns None when the finite ground set cannot support the requested
-    sizes; raises SearchBudgetExceeded on budget exhaustion.
+    sizes; raises ValueError for a negative budget and SearchBudgetExceeded
+    on budget exhaustion.
     """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     colorings = list(colorings)
     sizes = list(sizes)
     if len(colorings) != len(sizes):

@@ -22,12 +22,13 @@ so listing stops after tuple_cap tuples however large g(n) is.
 Window scans, witness streams and catalog evidence read their counts
 from one generator (_counts), which splits g into F * G, the
 convolutions of the parts that are not multiplicative and of the others.
-The system decides first: if every part is multiplicative, g = G, by
-the recurrence G(k) = c(p, e) G(k / p^e) below SIEVE_LIMIT, p the
-smallest prime factor of k, and above it by the product of c(p, e) over
-a factorization.  Otherwise a window below SIEVE_LIMIT convolves F over
-[1, hi], unless that costs more than the per-n counts every other
-sequence takes.  A window's exact min/max is evidence, never a limit.
+A window below SIEVE_LIMIT of a system with a part that is not
+multiplicative convolves F over [1, hi], unless that costs more than the
+per-n counts every other sequence takes.  Counted per n, an n below
+SIEVE_LIMIT where F is 1 at 1 alone (every part multiplicative) reads
+g = G by the recurrence G(k) = c(p, e) G(k / p^e), p the smallest prime
+factor of k; every other n is counted by count_system_reps.  A window's
+exact min/max is evidence, never a limit.
 """
 
 from __future__ import annotations
@@ -121,9 +122,10 @@ class _Lattice:
     level, or the last part's membership when the tail is empty.  More
     than PAIR_CAP pairs in all raise ResourceLimitError before the level
     that would pass it is paired.  Level 0 is needed at n alone, so part
-    0 is decided lazily, by divisor_flags restricted to the n // r for
-    the r in the support of level 1, each of those divisors'
-    factorizations built only for it: flags[0] is False elsewhere.
+    0 is decided lazily, by divisor_flags restricted by one where row,
+    level 1 reversed: it marks the n // r for the r in the support of
+    level 1, each factorization built only there, and flags[0] is False
+    elsewhere.  The cover fold restricts its first family by the same row.
     """
 
     def __init__(self, parts, factors: dict[int, int]):
@@ -175,12 +177,11 @@ class _Lattice:
                     if rest % values[r] == 0:
                         row[d + r] += c
             self._cnt[i] = below = row
-        support = [(r, c) for r, c in enumerate(below) if c]
-        asked = [False] * len(values)
-        for r, _ in support:
-            asked[top - r] = True
+        # n // values[r] has the index top - r, so level 1 reversed marks
+        # where part 0 is asked and lines up each count with its flag
+        asked = bytes(map(bool, reversed(below)))
         self._flags[0] = decided = parts[0].divisor_flags(factors, asked)
-        self.count = sum(c for r, c in support if decided[top - r])
+        self.count = sum(compress(reversed(below), decided))
 
     def _tail_cnt(self, i: int) -> list:
         return _spread(
@@ -302,23 +303,23 @@ def _counts(system: MultiplicativeSystem, ns):
     that are not multiplicative with product m; G counts those of the
     multiplicative parts, as the tail of _Lattice does, and is
     multiplicative: G(k) = c(p, e) G(k / p^e) for each p^e exactly
-    dividing k, with c(p, e) kept for the call for p below SIEVE_LIMIT.
+    dividing k, with c(p, e) kept for the call.
 
-    The system decides the path first.  If every part is multiplicative,
-    g = G, one n at a time on any sequence.  Below SIEVE_LIMIT, p is the
-    smallest prime factor of k, read from the sieve (grown as factorize
-    would grow it for n), and on a range G(k / p^e) is read from a memo of
-    the k <= hi / 2 (a larger k is read once, at n = k); from SIEVE_LIMIT
-    up, G(n) is the product of c(p, e) over factorize(n).  Either way p
-    increases, up to the first c(p, e) that is 0.  Otherwise, on a window
-    (a non-empty range of step 1 from n >= 1, ending at or below
-    SIEVE_LIMIT), F is convolved over [1, hi] and g(n) sums F(m) G(n / m)
-    over the support of F, walking the multiples of each m in the window
-    (g = G as above if F is 1 at 1 alone).  Any other sequence, or a
-    window too narrow for its end, is counted per n by count_system_reps:
-    F is given up once building it visits more members and pairs than
-    width * h * ln(hi), the cost of per-n counts (h parts decided on
-    about ln(n) divisors).
+    On a window (a non-empty range of step 1 from n >= 1, ending at or
+    below SIEVE_LIMIT) of a system with a part that is not
+    multiplicative, F is convolved over [1, hi] and g(n) sums
+    F(m) G(n / m) over the support of F, walking the multiples of each m
+    in the window.  F is given up once building it visits more members
+    and pairs than width * h * ln(hi), the cost of per-n counts (h parts
+    decided on about ln(n) divisors).  Every other sequence, and a window
+    whose F is 1 at 1 alone, is counted one n at a time.  Where F is 1 at
+    1 alone (always, when every part is multiplicative), an n in
+    [1, SIEVE_LIMIT) reads g = G by the recurrence: p is the smallest
+    prime factor of k, read from the sieve (grown as factorize would grow
+    it for n), up to the first c(p, e) that is 0, and on a range
+    G(k / p^e) is read from a memo of the k <= hi / 2 (a larger k is read
+    once, at n = k).  Every other n, off the sieve, below 1 or of a system
+    counted per n, is counted by count_system_reps.
     Only the convolution counts ahead, so a caller that stops early pays
     for no more n, and where a count raises (a factorization or a prime
     index out of range) every count before it has been yielded.
@@ -330,18 +331,13 @@ def _counts(system: MultiplicativeSystem, ns):
     if rest and window and 1 <= ns.start < ns.stop <= SIEVE_LIMIT:
         hi = ns[-1]
         conv = _convolve(rest, hi, int(len(ns) * len(system.parts) * log(hi)))
-    if conv is None:
-        yield from ((n, count_system_reps(system, n, tuple_cap=0).count) for n in ns)
-        return
     digits: dict[tuple[int, int], int] = {}
 
     def c(p: int, e: int) -> int:
         d = digits.get((p, e))
         if d is None:
             _, width, suffixes = _prime_chain(mult, p, e)
-            d = _digit(suffixes[0], e, width)
-            if p < SIEVE_LIMIT:
-                digits[p, e] = d
+            d = digits[p, e] = _digit(suffixes[0], e, width)
         return d
 
     spf = ()
@@ -362,25 +358,20 @@ def _counts(system: MultiplicativeSystem, ns):
                 memo[k] = value
         return value
 
-    if conv == {1: 1}:  # F is 1 at 1 alone, so g = G
-        for n in ns:
-            if 1 <= n < SIEVE_LIMIT:
-                spf = spf if n < len(spf) else smallest_prime_factors(n)
-                yield n, g(n)
-                continue
-            count = 1
-            for p, e in factorize(n).items():
-                count *= c(p, e)
-                if not count:
-                    break
-            yield n, count
+    if conv not in (None, {1: 1}):
+        lo, spf = ns[0], smallest_prime_factors(hi)
+        counts = [0] * len(ns)
+        for m, f in conv.items():
+            for k in range(-(-lo // m), hi // m + 1):
+                counts[k * m - lo] += f * g(k)
+        yield from zip(ns, counts)
         return
-    lo, spf = ns[0], smallest_prime_factors(hi)
-    counts = [0] * len(ns)
-    for m, f in conv.items():
-        for k in range(-(-lo // m), hi // m + 1):
-            counts[k * m - lo] += f * g(k)
-    yield from zip(ns, counts)
+    for n in ns:
+        if conv and 1 <= n < SIEVE_LIMIT:  # F is 1 at 1 alone, so g = G
+            spf = spf if n < len(spf) else smallest_prime_factors(n)
+            yield n, g(n)
+        else:
+            yield n, count_system_reps(system, n, tuple_cap=0).count
 
 
 def scan_counts(system: MultiplicativeSystem, lo: int, hi: int):

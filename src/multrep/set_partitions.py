@@ -96,24 +96,13 @@ class ImageOfSet(FamilyDescription):
         return self.base.contains_factored(math.prod(block), factors)
 
     def _block_flags(self, elems, where=None) -> list:
-        """The base's divisor_flags at the product of the elems inside the
-        universe, whose divisor index is the mask over those elems, asked
-        where the mask over elems that it stands for is marked; a mask
-        that picks an element outside reads False, unasked."""
-        inside = [e for e in elems if e in self.universe]
-        factors = dict.fromkeys(inside, 1)
-        if len(inside) == len(elems):
-            return self.base.divisor_flags(factors, where)
-        spots = [0]  # the mask over elems of each mask over inside, ascending
-        for i, e in enumerate(elems):
-            if e in self.universe:
-                spots += [a | 1 << i for a in spots]
-        if where is not None:
-            where = [where[a] for a in spots]
-        out = [False] * (1 << len(elems))
-        for a, ok in zip(spots, self.base.divisor_flags(factors, where)):
-            out[a] = ok
-        return out
+        """When the universe holds every elem, the base's divisor_flags at
+        their product, whose divisor index is the mask; otherwise block by
+        block, where contains_block reads a block with an element outside
+        as False, unasked."""
+        if self.universe.issuperset(elems):
+            return self.base.divisor_flags(dict.fromkeys(elems, 1), where)
+        return super()._block_flags(elems, where)
 
 
 def image_family(base: SetDescription, universe) -> ImageOfSet:
@@ -139,13 +128,14 @@ def count_ordered_covers(s, families) -> int:
     the tail is decided in one _block_flags call: a middle family (any
     but the first above the tail, or above the last family when it
     starts the fold) and the last family that starts it at every mask,
-    the first only at the masks whose complement the rest cover, as the
-    system side restricts its part 0.  An image family takes the flags
-    from its base's divisor_flags at the product of the elements inside
-    its universe (a mask that picks an element outside reads False,
-    unasked), so Primes, PrimesWithOne, Singleton, PowersOf, the
-    multiplicative kinds and their unions and intersections need no
-    factorization per block.  A block a that a middle family accepts
+    the first only at the masks whose complement the rest cover, by the
+    one where row with which the system side restricts its part 0.  An
+    image family whose universe holds every element takes the flags from
+    its base's divisor_flags at their product, so Primes, PrimesWithOne,
+    Singleton, PowersOf, the multiplicative kinds and their unions and
+    intersections need no factorization per block; one whose universe
+    leaves an element out asks its base block by block, and a block
+    with an element outside reads False, unasked.  A block a that a middle family accepts
     adds ways[r] at r | a for every submask r of the complement of a.
     That is 3^|s| submask steps per middle family and at most 2^|s|
     decisions per family.  Once the tail is found, before any family is

@@ -432,6 +432,18 @@ def test_ramsey_command_refuses_a_negative_m(capsys, tmp_path):
         assert (code, out, err) == (2, "", "error: m must be >= 0\n")
 
 
+def test_ramsey_command_refuses_a_negative_budget_and_exhausts_a_zero_one(capsys):
+    path = str(Path(__file__).parent / "data" / "pentagon.txt")
+    for fmt in ("text", "json"):
+        code, out, err = run(
+            capsys, "ramsey", "--coloring", path, "--m", "3", "--budget", "-1", "--format", fmt
+        )
+        assert (code, out, err) == (2, "", "error: budget must be >= 0\n")
+    code, out, err = run(capsys, "ramsey", "--coloring", path, "--m", "3", "--budget", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: node budget 0 exhausted")
+
+
 @pytest.mark.parametrize(
     "argv, err",
     [

@@ -303,6 +303,15 @@ def test_enumeration_cap():
         enumerate_up_to(AllNaturals(), 1000, cap=10)
 
 
+def test_a_negative_enumeration_cap_is_refused():
+    # a cap below 0 is never met by len(out), so it must not pass as "no cap"
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        enumerate_up_to(AllNaturals(), 2000, cap=-1)
+    assert enumerate_up_to(AllNaturals(), 3, cap=3) == [1, 2, 3]
+    with pytest.raises(ResourceLimitError):
+        enumerate_up_to(AllNaturals(), 1, cap=0)
+
+
 def test_system_requires_two_parts():
     with pytest.raises(ValueError):
         MultiplicativeSystem((AllNaturals(),))

@@ -90,6 +90,20 @@ def test_budget_exhaustion_is_distinct_from_none():
         find_homogeneous(c, 12, budget=1)
 
 
+def test_a_negative_budget_is_refused_before_any_search(pentagon):
+    # before m is read: 6 exceeds the ground of 5, and -1 is refused too
+    for m in (3, 6, -1):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            find_homogeneous(pentagon, m, budget=-1)
+    levels = [constant_coloring(pentagon.ground, 0), pentagon]
+    for sizes in ([5, 3], [6, 3]):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            iterated_chain(levels, sizes, budget=-1)
+    # a budget of 0 is spent at the first position tried
+    with pytest.raises(SearchBudgetExceeded):
+        find_homogeneous(pentagon, 3, budget=0)
+
+
 def test_a_negative_size_is_refused_before_any_search(pentagon):
     for coloring in (pentagon, constant_coloring(tuple(range(1, 7)), 0)):
         with pytest.raises(ValueError, match="m must be >= 0"):

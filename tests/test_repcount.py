@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import time
 import tracemalloc
@@ -20,6 +21,7 @@ from multrep import (
     Primes,
     PrimesWithOne,
     ResourceLimitError,
+    SetDescription,
     Singleton,
     SmoothOver,
     Squarefree,
@@ -328,6 +330,39 @@ def test_primorial_under_naturals_cubed():
     assert len(w.tuples) == 64 and w.truncated
     assert w.tuples[:2] == ((1, 1, n), (1, 2, n // 2))
     assert elapsed < 1.0
+
+
+class AskedPart(SetDescription):
+    """A part that is not multiplicative and records each n it is asked,
+    so that divisor_flags asks it divisor by divisor."""
+
+    def __init__(self, inner):
+        self.inner, self.asked = inner, []
+
+    def contains_factored(self, n, factors):
+        self.asked.append(n)
+        return self.inner.contains_factored(n, factors)
+
+
+def test_part_0_is_asked_only_where_the_rest_represent_the_cofactor():
+    # the twin of the cover side's first-family test, on the same 8 primes
+    primes = primes_up_to(19)
+    n = math.prod(primes)
+
+    def index(d):  # a divisor's index on the lattice of a squarefree n
+        return sum(1 << i for i, p in enumerate(primes) if d % p == 0)
+
+    first = AskedPart(AllNaturals())
+    assert count_system_reps(MultiplicativeSystem((first, PrimesWithOne())), n, 0).count == 9
+    # the rest represents only 1 and the primes
+    assert first.asked == sorted((n // r for r in [1, *primes]), key=index)
+    first = AskedPart(Primes())
+    system = MultiplicativeSystem((first, Singleton((1, 2, 3)), PrimesWithOne()))
+    assert count_system_reps(system, n, 0).count == 0
+    # the products the middle and last parts can represent together
+    support = {m * b for m in (1, 2, 3) for b in [1, *primes] if math.gcd(m, b) == 1}
+    assert len(first.asked) == len(support) == 22
+    assert first.asked == sorted((n // r for r in support), key=index)
 
 
 def test_large_prime_parameters_are_prompt():

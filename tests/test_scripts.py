@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts as subprocesses, on small inputs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -42,3 +43,13 @@ def test_window_scan_script_reports_a_bad_spec_as_a_usage_error():
         assert done.stdout == ""
         assert f"error: bad system spec {spec!r}" in done.stderr
         assert "Traceback" not in done.stderr
+
+
+def test_differential_script_finds_no_mismatch_between_a_tree_and_itself():
+    done = run_script("differential.py", "--base-src", str(REPO / "src"),
+                      "--named", "3", "--random", "6")
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["cases"] > 100 and report["raising"] > 0
+    assert report["count_mismatches"] == report["type_mismatches"] == 0
+    assert report["message_mismatches"] == 0
