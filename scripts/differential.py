@@ -90,8 +90,7 @@ def load(name: str, src: Path):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("cli", "repcount", "set_partitions"):
-        setattr(module, sub, importlib.import_module(f"{name}.{sub}"))
+    importlib.import_module(f"{name}.cli")  # sets module.cli; __init__ does not
     return module
 
 
