@@ -13,15 +13,15 @@ process under distinct package names, and each case is run in both:
   elements out or adds primes, and of cardinality and explicit families;
 - verify_correspondence.
 
-The corpus holds named systems, grammar systems drawn from a seeded
-random generator, and squarefree q with 4194319 or 4194329, primes past
-the prime index cap.  Results are compared as plain records, since two
-trees' classes never compare equal.  Prints one JSON line (cases, raising
-cases and count, type and message mismatches, the first few of them
-listed) and exits 1 on a count or type mismatch.
+The corpus holds named systems, RANDOM_SYSTEMS grammar systems drawn
+from a generator seeded with SEED, and squarefree q with 4194319 or
+4194329, primes past the prime index cap.  Results are compared as plain
+records, since two trees' classes never compare equal.  Prints one JSON
+line (cases, raising cases and count, type and message mismatches, the
+first few of them listed) and exits 1 on a count or type mismatch.
 
     python scripts/differential.py --base HEAD~1
-    python scripts/differential.py --base-src src --random 10
+    python scripts/differential.py --base-src /path/to/other/src
 """
 
 import argparse
@@ -59,6 +59,8 @@ NAMED = [
     "parts:Union(Squarefree,Primes);Union(Squarefree,Primes);AllNaturals",
 ]
 
+SEED = 26  # of the random grammar systems
+RANDOM_SYSTEMS = 1800
 SIEVE = 1 << 20
 BIG = (4194319, 4194329)  # the first primes past the prime index cap
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -263,17 +265,12 @@ def main(argv=None) -> int:
     base = parser.add_mutually_exclusive_group(required=True)
     base.add_argument("--base", help="a git revision of this repository")
     base.add_argument("--base-src", type=Path, help="a directory holding a multrep package")
-    parser.add_argument("--seed", type=int, default=26)
-    parser.add_argument("--named", type=int, default=len(NAMED),
-                        help="how many of the named systems to run, in order")
-    parser.add_argument("--random", type=int, default=1800,
-                        help="random grammar systems in the corpus")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         src = args.base_src or archived(args.base, Path(tmp))
         base_pkg = load("multrep_base", src)
         head_pkg = load("multrep_head", REPO / "src")
-        report = compare(base_pkg, head_pkg, corpus(args.seed, args.named, args.random))
+        report = compare(base_pkg, head_pkg, corpus(SEED, len(NAMED), RANDOM_SYSTEMS))
     print(json.dumps(report))
     return 1 if report["count_mismatches"] or report["type_mismatches"] else 0
 
