@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Scan the representation counts of a system over a range and write a
-CSV of (n, count) plus a summary record to stderr."""
+"""Scan the representation counts of a system over a range
+1 <= lo <= hi, as `multrep window` takes it, and write a CSV of
+(n, count) plus the window's min/max record to stderr."""
 
 import argparse
 import csv
 import sys
 
 from multrep import scan_counts
-from multrep.cli import ConfigError, parse_system_spec
+from multrep.cli import parse_system_spec
 from multrep.repcount import summarize_window
 
 
@@ -24,19 +25,13 @@ def main():
     parser.add_argument("--lo", type=int, default=2)
     parser.add_argument("--hi", type=int, default=10_000)
     args = parser.parse_args()
-    # the summary, like window_stats, covers n >= 2
-    lo = max(args.lo, 2)
-    if args.lo < 1 or args.hi < lo:
-        parser.error("need 1 <= lo <= hi and hi >= 2")
-
     try:
-        system = parse_system_spec(args.system)
-    except ConfigError as exc:
+        counts = scan_counts(parse_system_spec(args.system), args.lo, args.hi)
+    except ValueError as exc:
         parser.error(str(exc))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["n", "count"])
-    counts = written(writer, scan_counts(system, args.lo, args.hi))
-    stats = summarize_window(lo, args.hi, (nc for nc in counts if nc[0] >= lo))
+    stats = summarize_window(args.lo, args.hi, written(writer, counts))
     print(f"window evidence: {stats.to_record()}", file=sys.stderr)
 
 

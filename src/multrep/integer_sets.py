@@ -392,7 +392,8 @@ class SetDescription:
     (f(1) = 1 and f(ab) = f(a) f(b) for coprime a, b), so that membership
     of n is decided by the prime powers exactly dividing n.  A set whose
     parameters reach beyond 64-bit range counts as not multiplicative,
-    which costs speed, never exactness.
+    which costs speed, never exactness.  The rule is stated here once: a
+    multiplicative kind that keeps contains defines prime_power_flags.
 
     divisor_flags decides every divisor of a factored n in one call, by
     kind: the kinds here build no factorization per divisor, and a kind
@@ -404,14 +405,25 @@ class SetDescription:
     """
 
     multiplicative = False
+    # True for a kind whose iter_up_to lists its members without testing
+    # every n up to the limit
+    _listed = False
 
     def contains(self, n: int) -> bool:
-        raise NotImplementedError
+        """Membership of n >= 0: n >= 1 and contains_factored(n,
+        factorize(n)), unless the kind decides it otherwise."""
+        return n >= 1 and self.contains_factored(n, factorize(n))
 
     def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
-        """Membership of n >= 1 whose factorization {prime: exponent} is
-        given; kinds that would factor n read it instead."""
-        return self.contains(n)
+        """Membership of n >= 1 whose factorization {prime: exponent,
+        primes ascending} is given; kinds that would factor n read it
+        instead.  A kind that overrides contains is asked through it.  A
+        multiplicative kind that does not holds n when it holds each p^e
+        exactly dividing n, asked for p increasing up to the first p^e it
+        refuses."""
+        if type(self).contains is not SetDescription.contains:
+            return self.contains(n)
+        return all(self.prime_power_flags(p, e)[e] for p, e in factors.items())
 
     def prime_power_flags(self, p: int, e: int) -> list[bool]:
         """Membership of p^0, p^1, ..., p^e for a prime p."""
@@ -458,6 +470,7 @@ class SetDescription:
 @dataclass(frozen=True)
 class AllNaturals(SetDescription):
     multiplicative = True
+    _listed = True
 
     def contains(self, n: int) -> bool:
         return n >= 1
@@ -478,6 +491,8 @@ class Singleton(SetDescription):
     membership is total on n >= 0, but it never divides an n >= 1."""
 
     values: tuple[int, ...]
+
+    _listed = True
 
     def __post_init__(self):
         vs = tuple(sorted(set(self.values)))
@@ -515,6 +530,8 @@ class PowersOf(SetDescription):
     base: int
     lo: int = 0
     hi: int | None = None
+
+    _listed = True
 
     def __post_init__(self):
         if self.base < 2:
@@ -560,6 +577,8 @@ class PowersOf(SetDescription):
 
 @dataclass(frozen=True)
 class Primes(SetDescription):
+    _listed = True
+
     def contains(self, n: int) -> bool:
         return is_prime(n)
 
@@ -576,6 +595,8 @@ class Primes(SetDescription):
 
 @dataclass(frozen=True)
 class PrimesWithOne(SetDescription):
+    _listed = True
+
     def contains(self, n: int) -> bool:
         return n == 1 or is_prime(n)
 
@@ -594,13 +615,9 @@ class PrimesWithOne(SetDescription):
 
 @dataclass(frozen=True)
 class Squarefree(SetDescription):
+    """The n >= 1 that no prime square divides, decided by prime powers."""
+
     multiplicative = True
-
-    def contains(self, n: int) -> bool:
-        return n >= 1 and self.contains_factored(n, factorize(n))
-
-    def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
-        return all(e == 1 for e in factors.values())
 
     def prime_power_flags(self, p: int, e: int) -> list[bool]:
         return [a <= 1 for a in range(e + 1)]
@@ -610,18 +627,13 @@ class Squarefree(SetDescription):
 class SmoothOver(SetDescription):
     """Positive integers all of whose prime factors lie in a prime class.
 
-    1 belongs to every such set (empty product).
+    1 belongs to every such set (empty product), and p^e, e >= 1, when p
+    lies in the class.
     """
 
     prime_class: PrimeClass
 
     multiplicative = True
-
-    def contains(self, n: int) -> bool:
-        return n >= 1 and self.contains_factored(n, factorize(n))
-
-    def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
-        return all(self.prime_class.contains_prime(p) for p in factors)
 
     def prime_power_flags(self, p: int, e: int) -> list[bool]:
         return [True] + [self.prime_class.contains_prime(p)] * e
@@ -634,6 +646,10 @@ class Union(SetDescription):
     def __post_init__(self):
         if not self.parts:
             raise ValueError("Union needs at least one part")
+
+    @cached_property
+    def _listed(self) -> bool:
+        return all(part._listed for part in self.parts)
 
     def contains(self, n: int) -> bool:
         return any(part.contains(n) for part in self.parts)
@@ -672,6 +688,10 @@ class Intersection(SetDescription):
     def multiplicative(self) -> bool:
         return all(part.multiplicative for part in self.parts)
 
+    @cached_property
+    def _listed(self) -> bool:
+        return any(part._listed for part in self.parts)
+
     def contains(self, n: int) -> bool:
         return all(part.contains(n) for part in self.parts)
 
@@ -686,7 +706,9 @@ class Intersection(SetDescription):
         return where
 
     def iter_up_to(self, limit: int):
-        first, *rest = self.parts
+        # listed from the first part that lists its members, if any
+        first = next((part for part in self.parts if part._listed), self.parts[0])
+        rest = [part for part in self.parts if part is not first]
         for v in first.iter_up_to(limit):
             if all(part.contains(v) for part in rest):
                 yield v
@@ -735,12 +757,6 @@ class MultiplicativeSystem:
     @property
     def h(self) -> int:
         return len(self.parts)
-
-    @cached_property
-    def multiplicative(self) -> bool:
-        """True when every part is multiplicative, so that the count is a
-        multiplicative function of n."""
-        return all(part.multiplicative for part in self.parts)
 
 
 def basis_system(b: SetDescription, h: int) -> MultiplicativeSystem:

@@ -25,8 +25,8 @@ convolutions of the parts that are not multiplicative and of the others.
 A window below SIEVE_LIMIT of a system with a part that is not
 multiplicative convolves F over [1, hi], unless that costs more than the
 per-n counts every other sequence takes.  Counted per n, an n below
-SIEVE_LIMIT where F is 1 at 1 alone (every part multiplicative) reads
-g = G by the recurrence G(k) = c(p, e) G(k / p^e), p the smallest prime
+SIEVE_LIMIT of a system whose parts are all multiplicative reads g = G
+by the recurrence G(k) = c(p, e) G(k / p^e), p the smallest prime
 factor of k; every other n is counted by count_system_reps.  A window's
 exact min/max is evidence, never a limit.
 """
@@ -278,9 +278,15 @@ def count_basis_reps(
 def _convolve(parts, hi: int, budget: int):
     """F on [1, hi] as {m: F(m)} over its support: F(m) counts the tuples
     of parts with product m, convolved from the parts' sorted members.
-    None once the members and (m, member) pairs visited pass budget."""
+    None once the members and (m, member) pairs visited pass budget, where
+    a part that cannot list its members costs hi, as it tests every n <= hi
+    to find them."""
     conv = {1: 1}
     for part in parts:
+        if not part._listed:
+            budget -= hi
+            if budget < 0:
+                return None
         members = list(islice(part.iter_up_to(hi), budget + 1))
         budget -= len(members)
         nxt: dict[int, int] = {}
@@ -311,22 +317,22 @@ def _counts(system: MultiplicativeSystem, ns):
     F(m) G(n / m) over the support of F, walking the multiples of each m
     in the window.  F is given up once building it visits more members
     and pairs than width * h * ln(hi), the cost of per-n counts (h parts
-    decided on about ln(n) divisors).  Every other sequence, and a window
-    whose F is 1 at 1 alone, is counted one n at a time.  Where F is 1 at
-    1 alone (always, when every part is multiplicative), an n in
-    [1, SIEVE_LIMIT) reads g = G by the recurrence: p is the smallest
-    prime factor of k, read from the sieve (grown as factorize would grow
-    it for n), up to the first c(p, e) that is 0, and on a range
-    G(k / p^e) is read from a memo of the k <= hi / 2 (a larger k is read
-    once, at n = k).  Every other n, off the sieve, below 1 or of a system
-    counted per n, is counted by count_system_reps.
+    decided on about ln(n) divisors); a part that cannot list its members
+    costs hi.  Every other sequence is counted one n at a time, by the
+    system: when every part is multiplicative, an n in [1, SIEVE_LIMIT)
+    reads g = G by the recurrence: p is the smallest prime factor of k,
+    read from the sieve (grown as factorize would grow it for n), up to
+    the first c(p, e) that is 0, and on a range G(k / p^e) is read from a
+    memo of the k <= hi / 2 (a larger k is read once, at n = k).  Every
+    other n, off the sieve, below 1 or of a system with a part that is
+    not multiplicative, is counted by count_system_reps.
     Only the convolution counts ahead, so a caller that stops early pays
     for no more n, and where a count raises (a factorization or a prime
     index out of range) every count before it has been yielded.
     """
     mult = [part for part in system.parts if part.multiplicative]
     rest = [part for part in system.parts if not part.multiplicative]
-    conv = None if rest else {1: 1}
+    conv = None
     window = isinstance(ns, range) and ns.step == 1
     if rest and window and 1 <= ns.start < ns.stop <= SIEVE_LIMIT:
         hi = ns[-1]
@@ -358,7 +364,7 @@ def _counts(system: MultiplicativeSystem, ns):
                 memo[k] = value
         return value
 
-    if conv not in (None, {1: 1}):
+    if conv is not None:
         lo, spf = ns[0], smallest_prime_factors(hi)
         counts = [0] * len(ns)
         for m, f in conv.items():
@@ -367,7 +373,7 @@ def _counts(system: MultiplicativeSystem, ns):
         yield from zip(ns, counts)
         return
     for n in ns:
-        if conv and 1 <= n < SIEVE_LIMIT:  # F is 1 at 1 alone, so g = G
+        if not rest and 1 <= n < SIEVE_LIMIT:
             spf = spf if n < len(spf) else smallest_prime_factors(n)
             yield n, g(n)
         else:
@@ -382,9 +388,8 @@ def scan_counts(system: MultiplicativeSystem, lo: int, hi: int):
 
 
 def window_stats(system: MultiplicativeSystem, lo: int, hi: int) -> WindowStats:
-    """Exact min/max of g over [lo, hi]; ties resolved to the smallest n."""
-    if lo < 2 or hi < lo:
-        raise ValueError("need 2 <= lo <= hi")
+    """Exact min/max of g over [lo, hi], the range checked by
+    scan_counts (1 <= lo <= hi); ties resolved to the smallest n."""
     return summarize_window(lo, hi, scan_counts(system, lo, hi))
 
 

@@ -19,6 +19,7 @@ from multrep import (
     window_stats,
 )
 from multrep.cli import build_parser, main, parse_system_spec
+from multrep.repcount import summarize_window
 
 from conftest import pentagon_coloring
 
@@ -420,6 +421,21 @@ def test_a_window_checks_its_range_before_writing_a_row(capsys):
         "--lo", "5", "--hi", "4", "--format", "csv",
     )
     assert (code, out, err) == (2, "", "error: need 1 <= lo <= hi\n")
+
+
+def test_window_takes_one_range_in_every_format(capsys):
+    window = ("window", "--system", "s-inf:h=2,s=2")
+    outs = {}
+    for fmt in ("text", "json", "csv"):
+        code, outs[fmt], err = run(capsys, *window, "--lo", "1", "--hi", "3", "--format", fmt)
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, *window, "--lo", "5", "--hi", "4", "--format", fmt)
+        assert (code, out, err) == (2, "", "error: need 1 <= lo <= hi\n")
+    rows = list(csv.reader(io.StringIO(outs["csv"])))[1:]
+    record = summarize_window(1, 3, [(int(n), int(c)) for n, c in rows]).to_record()
+    assert [int(n) for n, _ in rows] == [1, 2, 3]
+    assert json.loads(outs["json"]) == record
+    assert outs["text"] == "".join(f"{key}: {value}\n" for key, value in record.items())
 
 
 def test_ramsey_command_refuses_a_negative_m(capsys, tmp_path):

@@ -39,7 +39,13 @@ from multrep import (
 from multrep import repcount
 from multrep.catalog import closed_form
 from multrep.cli import parse_system_spec
-from multrep.integer_sets import SIEVE_LIMIT, factorize, primes_up_to
+from multrep.integer_sets import (
+    SIEVE_LIMIT,
+    factorize,
+    parse_set,
+    parse_system,
+    primes_up_to,
+)
 
 from conftest import (
     naive_divisors,
@@ -167,8 +173,9 @@ def test_input_validation():
         count_system_reps(system, 2**63)
     with pytest.raises(ValueError, match="^tuple_cap must be >= 0$"):
         count_system_reps(system, 12, tuple_cap=-1)
-    with pytest.raises(ValueError):
-        window_stats(system, 1, 10)
+    assert window_stats(system, 1, 10).to_record() == {
+        "lo": 1, "hi": 10, "min_count": 1, "argmin": 1, "max_count": 1, "argmax": 1,
+    }
     with pytest.raises(ValueError):
         window_stats(system, 10, 9)
     with pytest.raises(ValueError):
@@ -250,7 +257,7 @@ def systems(parts):
 @settings(max_examples=150, deadline=None)
 @given(systems(multiplicative_sets), arguments)
 def test_multiplicative_systems_match_oracle(system, n):
-    assert system.multiplicative
+    assert all(part.multiplicative for part in system.parts)
     count = count_system_reps(system, n, tuple_cap=0).count
     assert count == oracle_count_reps(system, n)
 
@@ -597,6 +604,38 @@ def test_narrow_windows_far_from_1_are_counted_per_n(monkeypatch, spec):
         counted.clear()
         assert window_outcomes(system, lo, hi) == per_n_outcomes(system, lo, hi)
         assert counted == ([] if hi < 10**6 else list(range(lo, hi + 1)))
+
+
+def test_parts_that_cannot_list_their_members_are_not_scanned(monkeypatch):
+    # Squarefree and SmoothOver find their members only by asking about
+    # every n up to the limit: a window's convolution counts that as hi
+    # against its budget, and an Intersection lists from a part that
+    # lists its own, so none of these asks about every n up to 9 * 10^5
+    windows = [
+        ("Intersection(Squarefree,Singleton(4,0,6,12),Singleton(30,0,3));"
+         "Primes;Singleton(2,0);Primes", 900000, 900040),
+        ("Squarefree;Union(SmoothOver(ExplicitList(2,5)))", 900000, 900041),
+    ]
+    per_n = [
+        [(n, count_system_reps(parse_system(text), n, 0).count) for n in range(lo, hi + 1)]
+        for text, lo, hi in windows
+    ]
+    asked = []
+    contains = SetDescription.contains
+
+    def counted(self, n):
+        asked.append(n)
+        return contains(self, n)
+
+    monkeypatch.setattr(SetDescription, "contains", counted)
+    for (text, lo, hi), expected in zip(windows, per_n):
+        asked.clear()
+        assert list(scan_counts(parse_system(text), lo, hi)) == expected
+        assert len(asked) < 100
+    asked.clear()
+    intersection = parse_set("Intersection(Squarefree,Singleton(4,0,6,12))")
+    assert enumerate_up_to(intersection, 10**6) == [6]
+    assert asked == [4, 6, 12]
 
 
 @pytest.mark.parametrize(
