@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from itertools import compress
 
 from .errors import ResourceLimitError
-from .integer_sets import MultiplicativeSystem, SetDescription, _sorted_primes
+from .integer_sets import MultiplicativeSystem, SetDescription, _sorted_primes, _spread
 from .squarefree_map import phi
 from .repcount import count_system_reps
 
@@ -173,9 +173,7 @@ def count_ordered_covers(s, families) -> int:
     if seeds:
         ways = fams[t]._block_flags(elems)
     else:
-        ways = [1]
-        for k in held:
-            ways += [w * k for w in ways]
+        ways = _spread([1, k] for k in held)
     for fam in reversed(fams[1:t]):
         folded = [0] * (full + 1)
         for a, ok in enumerate(fam._block_flags(elems)):

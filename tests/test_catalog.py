@@ -139,6 +139,14 @@ def test_verify_one_inf_evidence_monotone():
     assert counts == list(range(2, 12))  # count at 2^k is k+1, k = 1..10
 
 
+def test_closed_form_and_verify_refuse_a_range_below_their_start():
+    c = build("fundamental", 2)
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        closed_form(c, 0)
+    with pytest.raises(ValueError, match="^scan_max must be >= 2$"):
+        verify(c, 1)
+
+
 def test_verify_rows():
     report = verify(build("one-t", 2, t=2), 50, keep_rows=True)
     assert len(report.rows) == 50
@@ -179,6 +187,8 @@ def test_mh_table():
 
     with pytest.raises(ValueError):
         mh_table(1)
+    with pytest.raises(ValueError, match="^t_cutoff must be >= 1$"):
+        mh_table(2, 0)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -6,6 +7,9 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
+from array import array
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -18,6 +22,7 @@ from multrep import (
     mh_table,
     window_stats,
 )
+from multrep import catalog, integer_sets, ramsey, set_partitions
 from multrep.cli import build_parser, main, parse_system_spec
 from multrep.repcount import summarize_window
 
@@ -267,15 +272,29 @@ def test_partitions_json_and_csv_list_the_same_partitions(capsys):
     assert len(listed) == 3**8
 
 
-def test_correspond_command(capsys):
-    code, out, _ = run(
-        capsys, "correspond", "--system", "s-inf:h=2,s=2", "--q", "30",
-        "--format", "json",
+def test_partitions_csv_at_the_10_prime_primorial_is_pinned(capsys):
+    code, out, err = run(
+        capsys, "partitions", "--q", "6469693230", "--h", "3", "--format", "csv"
     )
-    assert code == 0
-    record = json.loads(out)
-    assert record["equal"] is True
-    assert record["system_count"] == record["cover_count"] == 4  # 1 + omega = 4
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 3**10 + 1
+    assert hashlib.sha1(out.encode()).hexdigest() == (
+        "3f6c17d14a8221ee861bc3bb03c28a85a6b5c299"
+    )
+
+
+def test_correspond_command(capsys):
+    # s-inf:h=2,s=2 counts 1 + omega(q) at a squarefree q: at the 15-prime
+    # primorial its PrimesWithOne part holds 16 of the 32768 divisors
+    for q, omega in ((30, 3), (6469693230, 10), (614889782588491410, 15)):
+        code, out, _ = run(
+            capsys, "correspond", "--system", "s-inf:h=2,s=2", "--q", str(q),
+            "--format", "json",
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["equal"] is True
+        assert record["system_count"] == record["cover_count"] == 1 + omega
 
 
 def test_correspond_at_the_13_prime_primorial_h4(capsys):
@@ -352,6 +371,21 @@ def test_count_and_correspond_answer_a_zero_before_the_index_of_a_big_prime(caps
     code, out, _ = run(capsys, "correspond", "--system", spec, "--q", str(q))
     assert code == 0
     assert "equal: True" in out.splitlines()
+
+
+def test_count_answers_at_the_last_prime_below_the_index_cap_and_refuses_above(
+    capsys, monkeypatch
+):
+    # a fresh sieve, restored afterwards so that no other test holds 2^22
+    monkeypatch.setattr(integer_sets, "_spf", array("I"))
+    monkeypatch.setattr(integer_sets, "_primes", [])
+    count = ("count", "--system", "fundamental:h=2", "--tuple-cap", "0", "--n")
+    code, out, _ = run(capsys, *count, str(2 * 4194301))
+    assert code == 0
+    assert "count: 1" in out.splitlines()
+    assert run(capsys, *count, str(2 * 4194319)) == (
+        1, "", "error: the index of 4194319 needs a sieve beyond 4194304\n",
+    )
 
 
 @pytest.mark.parametrize("spec", [
@@ -557,6 +591,28 @@ def test_a_long_bad_spec_is_quoted_in_part(capsys, spec):
     assert len(err.encode()) < 1024
 
 
+@pytest.mark.parametrize(
+    "part",
+    [
+        "Union(" * 400 + "Primes" + ")" * 400,
+        "Primes" + "()" * 10**5,
+        "not " * 10**5 + "Primes",
+        "Singleton(1inf)",
+    ],
+    ids=["nested", "call-chain", "not-chain", "1inf"],
+)
+def test_a_malformed_spec_file_exits_2_without_a_warning(capsys, tmp_path, part):
+    path = tmp_path / "system.txt"
+    path.write_text(part + "\nAllNaturals\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "count", "--system", f"@{path}", "--n", "6")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad system spec")
+    assert "Traceback" not in err
+    assert caught == []
+
+
 PENTAGON = "tests/data/pentagon.txt"
 CSV_COMMANDS = {"count", "window", "catalog-verify", "mh-table", "partitions"}
 # one invocation per outcome of every subcommand
@@ -606,6 +662,56 @@ def test_ramsey_json_when_no_subset_exists(capsys, monkeypatch):
         "subset": None, "color": None,
     }
     assert run(capsys, *argv) == (0, "none\n", "")
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, argv, shown, err",
+    [
+        (catalog, "closed_form", lambda construction, n: 0,
+         ("catalog-verify", "--name", "fundamental", "--max-n", "20"),
+         ["all_match: False"], "verification FAILED\n"),
+        (ramsey, "homogeneous_color", lambda coloring, subset: None,
+         ("ramsey", "--coloring", PENTAGON, "--m", "2"),
+         [], "checker rejected the emitted subset\n"),
+        (set_partitions, "count_ordered_covers", lambda s, families: 0,
+         ("correspond", "--system", "s-inf:h=2,s=2", "--q", "30"),
+         ["cover_count: 0", "equal: False"], "correspondence FAILED\n"),
+    ],
+    ids=["catalog-verify", "ramsey", "correspond"],
+)
+def test_a_failed_check_exits_1_with_its_own_line(
+    capsys, monkeypatch, module, name, fake, argv, shown, err
+):
+    # the library call whose answer the command checks, made to answer wrongly
+    monkeypatch.chdir(REPO)
+    monkeypatch.setattr(module, name, fake)
+    code, out, got = run(capsys, *argv)
+    assert (code, got) == (1, err)
+    assert bool(out) == bool(shown)
+    assert set(shown) <= set(out.splitlines())
+
+
+def test_ramsey_command_on_the_paley_17_coloring(capsys, tmp_path):
+    # Paley(17) colors a pair by whether its difference is a square mod 17;
+    # neither color holds a K4, and {0, 1, 2} is a triangle of color 0
+    squares = {x * x % 17 for x in range(1, 17)}
+    lines = ["ground: " + " ".join(map(str, range(17))), "k: 2"]
+    lines += [
+        f"{a} {b} : {int((b - a) not in squares)}"
+        for a, b in combinations(range(17), 2)
+    ]
+    path = tmp_path / "paley17.txt"
+    path.write_text("\n".join(lines) + "\n")
+    search = ("ramsey", "--coloring", str(path), "--format", "json", "--m")
+    code, out, _ = run(capsys, *search, "4")
+    assert code == 0
+    assert json.loads(out) == {"subset": None, "color": None}
+    code, out, _ = run(capsys, *search, "3")
+    assert code == 0
+    assert json.loads(out) == {"subset": [0, 1, 2], "color": 0}
+    code, out, err = run(capsys, *search, "4", "--budget", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: node budget 0 exhausted")
 
 
 @pytest.mark.parametrize(

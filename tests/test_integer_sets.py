@@ -29,6 +29,7 @@ from multrep import (
     SmoothOver,
     Squarefree,
     Union,
+    basis_system,
     enumerate_up_to,
     membership,
     parse_set,
@@ -145,6 +146,8 @@ def test_prime_index_is_one_based():
     assert prime_index(13) == 6
     with pytest.raises(ValueError):
         prime_index(4)
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        nth_prime(0)
 
 
 def test_prime_index_refuses_a_sieve_beyond_its_cap():
@@ -315,6 +318,33 @@ def test_a_negative_enumeration_cap_is_refused():
 def test_system_requires_two_parts():
     with pytest.raises(ValueError):
         MultiplicativeSystem((AllNaturals(),))
+    with pytest.raises(ValueError, match="^h must be >= 2$"):
+        basis_system(AllNaturals(), 1)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: IndexResidue(1, 0), "modulus must be >= 2"),
+        (lambda: IndexResidue(3, 3), "residue out of range"),
+        (lambda: Singleton(()), "Singleton needs at least one value"),
+        (lambda: Singleton((-1,)), "values must be >= 0"),
+        (lambda: PowersOf(2, -1), "lo must be >= 0"),
+        (lambda: PowersOf(2, 3, 2), "hi must be >= lo"),
+        (lambda: Union(()), "Union needs at least one part"),
+        (lambda: Intersection(()), "Intersection needs at least one part"),
+        (lambda: membership(Primes(), -1), "n must be >= 0"),
+        (lambda: enumerate_up_to(Primes(), 0), "limit must be >= 1"),
+    ],
+    ids=[
+        "modulus-1", "residue-3-mod-3", "empty-singleton", "negative-singleton",
+        "negative-lo", "hi-below-lo", "empty-union", "empty-intersection",
+        "negative-member", "limit-0",
+    ],
+)
+def test_an_argument_out_of_range_is_refused(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
 
 
 def test_parse_set_roundtrips_each_kind():
@@ -422,6 +452,17 @@ def test_smallest_prime_factors_grows_the_sieve_and_reads_it(monkeypatch):
             assert spf[n] == n
         else:
             assert spf[n] == min(factorize(n)), n
+
+
+def test_is_prime_grows_the_sieve_below_its_limit(monkeypatch):
+    monkeypatch.setattr(integer_sets, "_spf", array("I"))
+    monkeypatch.setattr(integer_sets, "_primes", [])
+    integer_sets._ensure_sieve(100)
+    end = len(integer_sets._spf)
+    assert end < 999983 < (1 << 20)
+    # the largest prime below 10^6, between odd composites
+    assert [is_prime(n) for n in (999981, 999983, 999985)] == [False, True, False]
+    assert len(integer_sets._spf) > 999985
 
 
 def test_sieve_to_2_20_stays_compact(monkeypatch):

@@ -200,6 +200,16 @@ def test_chain_size_validation():
             [constant_coloring(range(3), 0), constant_coloring(range(3), 1)],
             [2, 3],
         )
+    levels = [constant_coloring(range(3), k) for k in range(3)]
+    for colorings, sizes, message in [
+        ([], [], "need at least the k=0 level"),
+        (levels[1:], [3, 3], "level 0 coloring has k = 1"),
+        ([levels[0], constant_coloring(range(4), 1)], [3, 3],
+         "all levels must share one ground set"),
+        (levels, [3, 3, 1], r"sizes\[k\] must be >= k"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            iterated_chain(colorings, sizes)
 
 
 def test_product_coloring_encoding():
@@ -257,6 +267,15 @@ def test_product_homogeneous_iff_factorwise_sampled_k2():
                     and homogeneous_color(b, subset) is not None
                 )
                 assert (homogeneous_color(pc, subset) is not None) == both
+
+
+def test_product_coloring_refuses_no_factor_and_unlike_factors():
+    with pytest.raises(ValueError, match="^need at least one factor coloring$"):
+        product_coloring([])
+    c = constant_coloring(range(1, 4), 1)
+    for other in (constant_coloring(range(1, 4), 2), constant_coloring(range(1, 5), 1)):
+        with pytest.raises(ValueError, match="^factors must share ground set and k$"):
+            product_coloring([c, other])
 
 
 def test_product_overflow():
@@ -507,13 +526,15 @@ FULL = "1 2 : 0\n1 3 : 1\n2 3 : 0\n"
         (HEADER + FULL + "3 2 : 1\n", r"duplicate subset in coloring: \[2, 3\]"),
         (HEADER + "1 2 : 0\n1 3 : 1\n", r"\(missing 1, extraneous 0\)"),
         (HEADER + FULL + "1 4 : 0\n", r"\(missing 0, extraneous 1\)"),
+        (HEADER + FULL + "1 4 : 0\n4 1 : 1\n", r"duplicate subset in coloring: \[1, 4\]"),
         (HEADER + "1 2 : 0\n1 3 : 1\n1 2 3 : 0\n", r"\(missing 1, extraneous 1\)"),
         (HEADER + "1 2 : 0\n1 3 : -1\n2 3 : 0\n", "color indices must be >= 0"),
         (HEADER + "1 2 : 0\n1 3 1\n2 3 : 0\n", "bad coloring line: '1 3 1'"),
         ("ground: 1 2 3\n" + FULL, "needs 'ground:' and 'k:' lines"),
         ("ground: 1 2 3\nk: -1\n", "k must be >= 0"),
     ],
-    ids=["duplicate-reordered", "missing-row", "outside-ground", "wrong-size",
+    ids=["duplicate-reordered", "missing-row", "outside-ground", "outside-ground-twice",
+         "wrong-size",
          "negative-color", "no-colon", "no-k-header", "negative-k"],
 )
 def test_load_rejects_invalid_file(text, message):

@@ -55,6 +55,11 @@ def test_empty_cover():
     assert count_ordered_covers(frozenset(), fams) == 1
 
 
+def test_a_cover_needs_two_families():
+    with pytest.raises(ValueError, match="^need h >= 2 families$"):
+        count_ordered_covers({1, 2}, [by_cardinality({2})])
+
+
 def check_random_covers(rng, hs, rounds):
     """Random explicit, cardinality and image families against the oracle."""
     universe = list(range(1, 7))

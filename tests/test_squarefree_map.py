@@ -134,6 +134,8 @@ def test_partitions_cap():
         factorizations_as_partitions(30030, 3, cap=100)
     with pytest.raises(ValueError, match="^cap must be >= 0$"):
         factorizations_as_partitions(30, 2, cap=-1)
+    with pytest.raises(ValueError, match="^h must be >= 2$"):
+        factorizations_as_partitions(30, 1)
 
 
 def test_omega_examples():

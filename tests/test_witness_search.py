@@ -7,9 +7,11 @@ from multrep import (
     AllNaturals,
     MultiplicativeSystem,
     PrimesWithOne,
+    RepWitness,
     ResourceLimitError,
     SearchBudget,
     SearchOutcome,
+    Singleton,
     basis_system,
     build,
     candidate_stream,
@@ -19,7 +21,7 @@ from multrep import (
 from multrep import repcount
 from multrep.cli import parse_system_spec
 from multrep.integer_sets import factorize
-from multrep.witness_search import STRATEGIES
+from multrep.witness_search import STRATEGIES, check_witness
 
 from conftest import naive_divisors, sieve_squarefree
 
@@ -124,6 +126,26 @@ def test_budget_validation():
             SearchBudget(max_n=max_n)
     for strategy in STRATEGIES:  # each stream starts at 2
         assert list(candidate_stream(strategy, SearchBudget(max_n=2).max_n)) == [2]
+    with pytest.raises(ValueError, match="^strategy must be one of"):
+        list(candidate_stream("bogus", 10))
+    with pytest.raises(ValueError, match="^target must be >= 1$"):
+        find_witness(basis_system(AllNaturals(), 2), 0, SearchBudget())
+
+
+@pytest.mark.parametrize(
+    "witness, message",
+    [
+        (RepWitness(6, 1, ((6, 2),), False), r"tuple \(6, 2\) fails membership at 2"),
+        (RepWitness(6, 1, ((3, 1),), False), r"tuple \(3, 1\) does not multiply to 6"),
+        (RepWitness(6, 2, ((6, 1), (6, 1)), False), "duplicate tuples in witness"),
+        (RepWitness(6, 1, ((6, 1), (1, 6)), False), "count smaller than the listed tuples"),
+    ],
+    ids=["outside-its-part", "wrong-product", "repeated-tuple", "count-too-small"],
+)
+def test_check_witness_rejects_a_forged_witness(witness, message):
+    system = MultiplicativeSystem((AllNaturals(), Singleton((1, 6))))
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        check_witness(system, witness)
 
 
 def reference_search(system, target, budget):
