@@ -458,9 +458,8 @@ def test_is_prime_grows_the_sieve_below_its_limit(monkeypatch):
     monkeypatch.setattr(integer_sets, "_spf", array("I"))
     monkeypatch.setattr(integer_sets, "_primes", [])
     integer_sets._ensure_sieve(100)
-    end = len(integer_sets._spf)
-    assert end < 999983 < (1 << 20)
-    # the largest prime below 10^6, between odd composites
+    assert len(integer_sets._spf) < 999981
+    # the largest prime below 10^6, between odd composites, below 2^20
     assert [is_prime(n) for n in (999981, 999983, 999985)] == [False, True, False]
     assert len(integer_sets._spf) > 999985
 

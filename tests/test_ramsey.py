@@ -534,8 +534,7 @@ FULL = "1 2 : 0\n1 3 : 1\n2 3 : 0\n"
         ("ground: 1 2 3\nk: -1\n", "k must be >= 0"),
     ],
     ids=["duplicate-reordered", "missing-row", "outside-ground", "outside-ground-twice",
-         "wrong-size",
-         "negative-color", "no-colon", "no-k-header", "negative-k"],
+         "wrong-size", "negative-color", "no-colon", "no-k-header", "negative-k"],
 )
 def test_load_rejects_invalid_file(text, message):
     with pytest.raises(ValueError, match=message):

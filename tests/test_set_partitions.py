@@ -118,8 +118,9 @@ def test_cover_count_memory_is_bounded_for_image_families():
 
 
 # measured peaks (Python 3.11, 2-core VM): 9.2 MiB for each seeded fold,
-# which holds the first family's row and a 1-byte where, and 41.0 MiB for
-# the fold from the tail's 2^20 counts, which it holds as Python ints
+# which holds the first family's row and a 1-byte where, and 47.3 MiB for
+# the fold from the tail's 2^20 counts, which it holds as Python ints and
+# spreads from the 2^19 before them
 @pytest.mark.parametrize(
     "bases, count, bound",
     [
