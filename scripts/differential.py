@@ -6,7 +6,8 @@ network), or a directory holding a multrep package (--base-src); the
 other tree is this checkout's src/multrep.  Both are imported in one
 process under distinct package names, and each case is run in both:
 
-- count_system_reps with tuples listed to 5;
+- count_system_reps with tuples listed to 1, to 5 and to the default
+  cap (64), the records before an error kept;
 - _counts on ranges (windows and not) and on streams, below, across and
   above SIEVE_LIMIT (2^20), the yielded prefix kept up to any error;
 - count_ordered_covers of image families whose universe holds S, leaves
@@ -63,6 +64,7 @@ SEED = 26  # of the random grammar systems
 RANDOM_SYSTEMS = 1800
 SIEVE = 1 << 20
 BIG = (4194319, 4194329)  # the first primes past the prime index cap
+CAPS = (1, 5, 64)  # the tuple caps of each count; 64 is DEFAULT_TUPLE_CAP
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 POINTS = (
     1, 2, 12, 360, 720720, 2**10 * 3**5, SIEVE - 1, SIEVE, SIEVE + 1,
@@ -204,14 +206,16 @@ def corpus(seed: int, named: int, random_systems: int):
 def run(pkg, case):
     """The plain record of one case in one tree: (value, error), where
     error is None or (type name, message) and value is what came before
-    it (the yielded prefix of _counts)."""
+    it (the yielded prefix of _counts, the records of the caps before)."""
     kind, *args = case
     value = []
     try:
         if kind == "count":
             spec, n = args
             system = pkg.cli.parse_system_spec(spec)
-            return pkg.count_system_reps(system, n, tuple_cap=5).to_record(), None
+            for cap in CAPS:
+                value.append(pkg.count_system_reps(system, n, tuple_cap=cap).to_record())
+            return value, None
         if kind == "counts":
             spec, (how, *seq) = args
             ns = range(*seq) if how == "range" else list(seq)

@@ -13,11 +13,14 @@ decided at every divisor of n in one call by the part's kind
 (SetDescription.divisor_flags), with the support of the level below;
 the first part is decided only where that support needs it.
 
-The tuple walk reads one pair of tables, flags[i][x] (part i holds the
-divisor with index x) and cnt[i][x]; the tail's levels are spread from
-its per-prime rows only where they are read.  The walk is lexicographic and
-depth-first and enters a branch only when its suffix count is non-zero,
-so listing stops after tuple_cap tuples however large g(n) is.
+The tuple walk is lexicographic and depth-first and enters a branch
+only when its suffix count is non-zero, so listing stops after tuple_cap
+tuples however large g(n) is.  A level above the tail tries the sorted
+divisors of n against the tables flags[i][x] (part i holds the divisor
+with index x) and cnt[i][x].  A tail level reads its branches from the
+per-prime digits instead: a box of exponents, a set of them per prime,
+walked in ascending order of the divisor by a heap, so no tail level is
+built over the divisors of n.
 
 Window scans, witness streams and catalog evidence read their counts
 from one generator (_counts), which splits g into F * G, the
@@ -35,8 +38,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
+from heapq import heappop, heappush
 from itertools import compress, islice
-from math import log
+from math import log, prod
 
 from .errors import ResourceLimitError
 from .integer_sets import (
@@ -45,6 +49,7 @@ from .integer_sets import (
     SetDescription,
     _divisor_values,
     _spread,
+    _steps,
     basis_system,
     factorize,
     smallest_prime_factors,
@@ -93,9 +98,11 @@ class WindowStats:
 class _Lattice:
     """Suffix counts over the divisor lattice of n, for any system.
 
-    tables() gives the tuple walk flags[i][x], whether part i holds the
-    divisor with index x (i < h - 1), and cnt[i][x], the number of
-    representations of that divisor by parts i..h-1 (1 <= i < h).
+    For the levels above the tail, i < t, the tuple walk reads
+    _flags[i][x], whether part i holds the divisor with index x, and
+    _cnt[i + 1][x], the number of representations of that divisor by
+    parts i+1..h-1; _cnt[t] is the tail's top level when t < h.  Within
+    the tail it reads chains, the per-prime rows below.
 
     The tail is the run of multiplicative parts at the end, parts[t:].
     Its counts factor over the prime powers p^e exactly dividing n.  For
@@ -106,12 +113,11 @@ class _Lattice:
     coefficients over the primes.  The polynomials are evaluated at
     x = 2^width (Kronecker substitution), so that one integer product
     computes all coefficients: none exceeds (e+1)^h, which fits a digit.
-    The tail's levels are spread from these per-prime rows (a product of
-    0/1 flags is their AND) only where read: its top level when a part
-    above it is paired or decided, the rest by tables() for the tuple
-    walk.  When the tail is the whole system, n is counted from its
-    digits, so a count alone builds no table, and its primes are taken
-    in increasing order up to the first whose top digit is 0.
+    Only the tail's top level is spread from these per-prime rows, when
+    a part above it is paired or decided; the tuple walk reads the other
+    tail levels from the digits.  When the tail is the whole system, n is
+    counted from its digits, so it builds no table, and its primes are
+    taken in increasing order up to the first whose top digit is 0.
 
     Above the tail, each part i >= 1 is decided at every divisor of n in
     one divisor_flags call, which answers by the part's kind: the kinds
@@ -147,7 +153,6 @@ class _Lattice:
                 if not self.count:
                     break
         if t == 0:
-            self._flags, self._cnt, self._values = [], [None], None
             return
 
         self._values = values = _divisor_values(factors)
@@ -159,7 +164,14 @@ class _Lattice:
         self._flags = [None] + [known[id(part)] for part in parts[1:t]]
         low = min(t, h - 1)  # the lowest level that is not paired
         self._cnt = [None] * (low + 1)
-        self._cnt[low] = below = self._tail_cnt(t) if t < h else self._flags[h - 1]
+        if t < h:  # the tail's top level, spread from its top digits
+            below = _spread(
+                [_digit(suffixes[0], a, width) for a in range(e + 1)]
+                for e, _, width, suffixes in self.chains
+            )
+        else:
+            below = self._flags[h - 1]
+        self._cnt[low] = below
         pairs = 0
         for i in range(low - 1, 0, -1):
             support = [(r, c) for r, c in enumerate(below) if c]
@@ -183,22 +195,6 @@ class _Lattice:
         self._flags[0] = decided = parts[0].divisor_flags(factors, asked)
         self.count = sum(compress(reversed(below), decided))
 
-    def _tail_cnt(self, i: int) -> list:
-        return _spread(
-            [_digit(suffixes[i - self.t], a, width) for a in range(e + 1)]
-            for e, _, width, suffixes in self.chains
-        )
-
-    def tables(self) -> tuple[list, list, list[int]]:
-        """flags, cnt and the divisor values in index order, with the
-        tail's levels spread from the per-prime rows."""
-        flags = self._flags + [
-            _spread(allowed[i - self.t] for _, allowed, _, _ in self.chains)
-            for i in range(len(self._flags), self.h - 1)
-        ]
-        cnt = self._cnt + [self._tail_cnt(i) for i in range(len(self._cnt), self.h)]
-        return flags, cnt, self._values or _divisor_values(self.factors)
-
 
 def _prime_chain(parts, p: int, e: int):
     """For the prime p and the exponents 0..e: the parts' memberships of
@@ -221,19 +217,66 @@ def _digit(packed: int, a: int, width: int) -> int:
     return (packed >> (a * width)) & ((1 << width) - 1)
 
 
-def _lex_tuples(table: _Lattice, cap: int):
+def _lex_tuples(table: _Lattice, n: int, cap: int):
     """The first cap tuples in lexicographic order: a depth-first walk
-    over divisors in ascending order that enters a branch only when its
-    suffix count is non-zero, so every branch entered yields a tuple.
-    The suffix count is read before membership, which a table therefore
-    need decide only where the suffix count is non-zero."""
-    (flags, cnt, values), h = table.tables(), table.h
-    ordered = sorted(zip(values, range(len(values))))
+    that tries each level's divisors in ascending order and enters a
+    branch only when its suffix count is non-zero, so every branch entered
+    yields a tuple.
+
+    A level above the tail tries the sorted divisors of n against flags
+    and cnt, reading the suffix count before membership, which a part
+    therefore need decide only where the suffix count is non-zero.  A
+    tail level i reads its branches from per-prime digits: with the
+    cofactor's exponents b, they are the products of p_j^a_j over a box,
+    the a <= b_j with p_j^a in part i and a non-zero digit b_j - a in the
+    suffix row of level i + 1.  A heap walks the box in ascending order,
+    each entry raising only the primes at or after the last one raised,
+    so that each divisor is pushed once and no tail level is built over
+    the divisors of n."""
+    h, t, chains = table.h, table.t, table.chains
+    primes, exps = list(table.factors), list(table.factors.values())
     found: list[tuple[int, ...]] = []
+
+    def tail(i: int, m: int, b: list[int], prefix: tuple[int, ...]) -> None:
+        # i < h - 1: the level below lists the last part's m // v itself
+        rows = []
+        for bj, (_, allowed, width, suffixes) in zip(b, chains):
+            flags, rest = allowed[i - t], suffixes[i + 1 - t]
+            rows.append([a for a in range(bj + 1) if flags[a] and _digit(rest, bj - a, width)])
+        # the next exponent in each row, and the primes with a choice
+        after = [dict(zip(row, row[1:])) for row in rows]
+        free = [j for j, row in enumerate(rows) if len(row) > 1]
+        least = tuple(row[0] for row in rows)
+        heap = [(prod(p**a for p, a in zip(primes, least)), 0, least)]
+        while heap:
+            v, k, chosen = heappop(heap)
+            if i + 2 == h:  # the last part holds m // v
+                found.append(prefix + (v, m // v))
+            else:
+                tail(i + 1, m // v, [bj - a for bj, a in zip(b, chosen)], prefix + (v,))
+            if len(found) == cap:
+                return
+            for f in range(k, len(free)):
+                j = free[f]
+                a = after[j].get(chosen[j])
+                if a is not None:
+                    raised = chosen[:j] + (a,) + chosen[j + 1 :]
+                    heappush(heap, (v * primes[j] ** (a - chosen[j]), f, raised))
+
+    if t == 0:
+        tail(0, n, exps, ())
+        return tuple(found)
+    flags, cnt, values = table._flags, table._cnt, table._values
+    ordered = sorted(zip(values, range(len(values))))
+    steps = _steps(table.factors)
 
     def walk(i: int, m: int, x: int, prefix: tuple[int, ...]) -> None:
         if i == h - 1:
             found.append(prefix + (m,))
+            return
+        if i == t:
+            # hand over to the tail with the exponents of m, index x
+            tail(i, m, [x // s % (e + 1) for s, e in zip(steps, exps)], prefix)
             return
         for v, d in ordered:
             if v > m:
@@ -243,7 +286,7 @@ def _lex_tuples(table: _Lattice, cap: int):
                 if len(found) == cap:
                     return
 
-    walk(0, values[-1], len(values) - 1, ())
+    walk(0, n, len(values) - 1, ())
     return tuple(found)
 
 
@@ -264,7 +307,7 @@ def count_system_reps(
     table = _Lattice(system.parts, factorize(n))
     tuples = ()
     if tuple_cap > 0 and table.count:
-        tuples = _lex_tuples(table, tuple_cap)
+        tuples = _lex_tuples(table, n, tuple_cap)
     return RepWitness(n, table.count, tuples, truncated=table.count > len(tuples))
 
 

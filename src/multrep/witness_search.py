@@ -83,28 +83,34 @@ def _squarefree_rich(max_n: int):
 
 
 def candidate_stream(strategy: str, max_n: int):
-    """Deterministic stream of candidates in [2, max_n], no duplicates."""
+    """Deterministic stream of candidates in [2, max_n], no duplicates;
+    ValueError at the call for an unknown strategy."""
     if strategy == "exhaustive":
-        yield from range(2, max_n + 1)
-    elif strategy == "squarefree-rich":
-        yield from _squarefree_rich(max_n)
-    elif strategy == "hybrid":
-        seen: set[int] = set()
-        rich = _squarefree_rich(max_n)
-        plain = iter(range(2, max_n + 1))
+        return iter(range(2, max_n + 1))
+    if strategy == "squarefree-rich":
+        return _squarefree_rich(max_n)
+    if strategy == "hybrid":
+        return _hybrid(max_n)
+    raise ValueError(f"strategy must be one of {STRATEGIES}")
+
+
+def _hybrid(max_n: int):
+    """The squarefree-rich and exhaustive streams interleaved, each
+    candidate yielded once."""
+    seen: set[int] = set()
+    rich = _squarefree_rich(max_n)
+    plain = iter(range(2, max_n + 1))
+    exhausted = 0
+    while exhausted < 2:
         exhausted = 0
-        while exhausted < 2:
-            exhausted = 0
-            for it in (rich, plain):
-                for n in it:
-                    if n not in seen:
-                        seen.add(n)
-                        yield n
-                        break
-                else:
-                    exhausted += 1
-    else:
-        raise ValueError(f"strategy must be one of {STRATEGIES}")
+        for it in (rich, plain):
+            for n in it:
+                if n not in seen:
+                    seen.add(n)
+                    yield n
+                    break
+            else:
+                exhausted += 1
 
 
 def check_witness(system: MultiplicativeSystem, w: RepWitness) -> None:

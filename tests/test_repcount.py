@@ -279,6 +279,29 @@ def test_listing_is_lexicographic_prefix(system, n, cap):
     assert w.truncated == (len(expected) > cap)
 
 
+@pytest.mark.parametrize("n", [720720, 2**10 * 3**5])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "parts:AllNaturals;AllNaturals",
+        "one-inf:h=2",  # a sparse box: part 1 holds only the powers of 2
+        "one-t:h=3,t=3",
+        "fundamental:h=3",
+        "parts:Primes;AllNaturals;AllNaturals",
+        "parts:PrimesWithOne;Squarefree;AllNaturals",
+    ],
+)
+def test_listing_is_lexicographic_prefix_at_many_divisors(spec, n):
+    # 240 and 66 divisors: the tail's levels walk boxes of many divisors
+    system = parse_system_spec(spec)
+    expected = oracle_rep_tuples(system, n)
+    for cap in (1, 5, 64):
+        w = count_system_reps(system, n, tuple_cap=cap)
+        assert w.count == len(expected)
+        assert list(w.tuples) == expected[:cap]
+        assert w.truncated == (len(expected) > cap)
+
+
 @pytest.mark.parametrize(
     "system",
     [
@@ -299,16 +322,21 @@ def test_listing_is_lexicographic_prefix(system, n, cap):
             )
         ),
         build("s-inf", 3, s=2).system,
+        # one-inf's box is sparse: part 1 holds only the powers of 2
+        build("one-inf", 2).system,
+        basis_system(AllNaturals(), 2),
     ],
 )
 def test_prime_chains_and_lattice_agree_at_large_divisor_counts(system):
     # a Union of one part is the same set but not marked multiplicative,
-    # so the wrapped system is counted and walked on the lattice alone
+    # so the wrapped system is counted on the lattice alone and its tuples
+    # listed from the sorted divisors of n at every level, against which
+    # the tail's levels, read from per-prime digits, are compared
     wrapped = MultiplicativeSystem(tuple(Union((part,)) for part in system.parts))
     assert system.parts[-1].multiplicative
     assert not any(part.multiplicative for part in wrapped.parts)
     for n in (1, 720720, 3603600, 2**10 * 3**5):
-        for cap in (0, 5, 64):
+        for cap in (0, 1, 5, 64):
             assert count_system_reps(system, n, cap) == count_system_reps(
                 wrapped, n, cap
             )

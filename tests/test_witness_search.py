@@ -127,7 +127,7 @@ def test_budget_validation():
     for strategy in STRATEGIES:  # each stream starts at 2
         assert list(candidate_stream(strategy, SearchBudget(max_n=2).max_n)) == [2]
     with pytest.raises(ValueError, match="^strategy must be one of"):
-        list(candidate_stream("bogus", 10))
+        candidate_stream("bogus", 10)  # at the call, before any next
     with pytest.raises(ValueError, match="^target must be >= 1$"):
         find_witness(basis_system(AllNaturals(), 2), 0, SearchBudget())
 
