@@ -241,8 +241,8 @@ def _lex_tuples(table: _Lattice, n: int, cap: int):
         # i < h - 1: the level below lists the last part's m // v itself
         rows = []
         for bj, (_, allowed, width, suffixes) in zip(b, chains):
-            flags, rest = allowed[i - t], suffixes[i + 1 - t]
-            rows.append([a for a in range(bj + 1) if flags[a] and _digit(rest, bj - a, width)])
+            holds, below = allowed[i - t], suffixes[i + 1 - t]
+            rows.append([a for a in range(bj + 1) if holds[a] and _digit(below, bj - a, width)])
         # the next exponent in each row, and the primes with a choice
         after = [dict(zip(row, row[1:])) for row in rows]
         free = [j for j, row in enumerate(rows) if len(row) > 1]
