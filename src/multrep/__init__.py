@@ -23,7 +23,6 @@ from .integer_sets import (
     Squarefree,
     Union,
     basis_system,
-    enumerate_up_to,
     membership,
     parse_set,
     parse_system,
@@ -41,8 +40,6 @@ from .squarefree_map import (
     factorizations_as_partitions,
     omega,
     phi,
-    phi_inverse,
-    prime_set,
 )
 from .set_partitions import (
     ByCardinality,

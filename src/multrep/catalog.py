@@ -110,14 +110,14 @@ def closed_form(construction: NamedConstruction, n: int) -> int:
     raise ValueError(f"unknown construction {name!r}")
 
 
-def primorials(max_value: int = MAX_INT) -> list[int]:
-    """2, 6, 30, ... while the product stays within max_value."""
+def primorials() -> list[int]:
+    """2, 6, 30, ... while the product stays within 64 bits."""
     out = []
     prod = 1
     k = 1
     while True:
         prod *= nth_prime(k)
-        if prod > max_value:
+        if prod > MAX_INT:
             return out
         out.append(prod)
         k += 1

@@ -44,8 +44,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_PRIME_LIMIT = 1000
 _RHO_BATCH = 128
 
-DEFAULT_ELEMENT_CAP = 1_000_000
-
 # ---------------------------------------------------------------------------
 # prime machinery
 # ---------------------------------------------------------------------------
@@ -719,25 +717,6 @@ def membership(d: SetDescription, n: int) -> bool:
     if n < 0:
         raise ValueError("n must be >= 0")
     return d.contains(n)
-
-
-def enumerate_up_to(
-    d: SetDescription, limit: int, cap: int = DEFAULT_ELEMENT_CAP
-) -> list[int]:
-    """All members <= limit, ascending, no duplicates; ResourceLimitError
-    past cap members, ValueError for limit < 1 or cap < 0."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
-    out: list[int] = []
-    for v in d.iter_up_to(limit):
-        if len(out) == cap:
-            raise ResourceLimitError(
-                f"enumeration exceeds the element cap {cap}"
-            )
-        out.append(v)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,6 @@ class PrimeSet:
         return frozenset(self.primes)
 
 
-def prime_set(primes) -> PrimeSet:
-    return PrimeSet(tuple(sorted(set(primes))))
-
-
 def omega(n: int) -> int:
     """Number of distinct prime divisors; omega(1) == 0."""
     return len(factorize(n))
@@ -62,13 +58,6 @@ def phi(q: int) -> PrimeSet:
     if any(e > 1 for e in factors.values()):
         raise NotSquarefreeError(f"{q} is not squarefree")
     return PrimeSet(tuple(sorted(factors)))
-
-
-def phi_inverse(s: PrimeSet) -> int:
-    prod = 1
-    for p in s:
-        prod *= p
-    return prod
 
 
 def _subsets(s: PrimeSet) -> list[PrimeSet]:

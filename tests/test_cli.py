@@ -159,6 +159,26 @@ def test_mh_table_command(capsys):
     assert len(out.splitlines()) == len(mh_table(2, 3)) == 5
 
 
+@pytest.mark.parametrize("h", [2, 3])
+def test_catalog_verify_checks_the_construction_of_each_mh_table_row(capsys, h):
+    code, out, err = run(capsys, "mh-table", "--h", str(h), "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == len(mh_table(h, 3))
+    keys = {"one-t": "t", "s-inf": "s"}
+    for row in rows:
+        name = row["construction"]
+        key = (f"--{keys[name]}", row[keys[name]]) if name in keys else ()
+        code, out, _ = run(
+            capsys, "catalog-verify", "--name", name, "--h", str(h), *key,
+            "--max-n", "60", "--format", "json",
+        )
+        assert code == 0, row
+        record = json.loads(out)
+        assert record["all_match"] is True
+        assert [str(v) for v in record["claimed"]] == [row["s"], row["t"]]
+
+
 def test_ramsey_command_pentagon(capsys, tmp_path):
     path = tmp_path / "pentagon.txt"
     path.write_text(dump_coloring(pentagon_coloring()))
@@ -457,6 +477,14 @@ def test_a_window_checks_its_range_before_writing_a_row(capsys):
     assert (code, out, err) == (2, "", "error: need 1 <= lo <= hi\n")
 
 
+def test_window_reports_a_bad_spec_as_a_usage_error(capsys):
+    for spec in ("bogus", "s-inf:h=3,s=2,t=1"):
+        code, out, err = run(capsys, "window", "--system", spec, "--lo", "2", "--hi", "60")
+        assert (code, out) == (2, "")
+        assert f"error: bad system spec {spec!r}" in err
+        assert "Traceback" not in err
+
+
 def test_window_takes_one_range_in_every_format(capsys):
     window = ("window", "--system", "s-inf:h=2,s=2")
     outs = {}
@@ -729,17 +757,17 @@ def test_a_reader_that_closes_early_gets_exit_141_and_no_traceback(argv):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "multrep.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    try:
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        code = proc.wait(timeout=60)
-    finally:
-        proc.kill()
+    ) as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
     assert first in (b"blocks\n", b"n,count\n")
     assert b"Traceback" not in err, err.decode()
     assert code == 141

@@ -30,7 +30,6 @@ from multrep import (
     build,
     count_basis_reps,
     count_system_reps,
-    enumerate_up_to,
     omega,
     primorials,
     scan_counts,
@@ -425,7 +424,7 @@ def test_huge_prime_under_fundamental_raises_promptly():
 @settings(max_examples=200, deadline=None)
 @given(any_sets, st.integers(1, 3000))
 def test_enumeration_matches_membership_filter(d, limit):
-    assert enumerate_up_to(d, limit) == [
+    assert list(d.iter_up_to(limit)) == [
         n for n in range(1, limit + 1) if d.contains(n)
     ]
 
@@ -662,7 +661,7 @@ def test_parts_that_cannot_list_their_members_are_not_scanned(monkeypatch):
         assert len(asked) < 100
     asked.clear()
     intersection = parse_set("Intersection(Squarefree,Singleton(4,0,6,12))")
-    assert enumerate_up_to(intersection, 10**6) == [6]
+    assert list(intersection.iter_up_to(10**6)) == [6]
     assert asked == [4, 6, 12]
 
 

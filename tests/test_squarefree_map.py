@@ -12,8 +12,6 @@ from multrep import (
     factorizations_as_partitions,
     omega,
     phi,
-    phi_inverse,
-    prime_set,
 )
 
 from multrep import squarefree_map
@@ -31,30 +29,30 @@ def test_phi_examples():
         phi(12)
 
 
-def test_phi_inverse_examples():
-    assert phi_inverse(prime_set([2, 3, 5])) == 30
-    assert phi_inverse(prime_set([])) == 1
-    assert phi_inverse(prime_set([2, 3, 7, 11, 13])) == 2 * 3 * 7 * 11 * 13
+def test_the_product_map_examples():
+    assert prod(PrimeSet((2, 3, 5))) == 30
+    assert prod(PrimeSet(())) == 1
+    assert prod(PrimeSet((2, 3, 7, 11, 13))) == 2 * 3 * 7 * 11 * 13
 
 
 def test_round_trip_squarefree():
     for q in sieve_squarefree(5000):
-        assert phi_inverse(phi(q)) == q
+        assert prod(phi(q)) == q
 
 
 @given(st.sets(st.sampled_from(SMALL_PRIMES), max_size=6))
-def test_round_trip_prime_sets(ps):
-    s = prime_set(ps)
-    assert phi(phi_inverse(s)) == s
+def test_round_trip_sets_of_primes(ps):
+    s = PrimeSet(tuple(sorted(ps)))
+    assert phi(prod(s)) == s
 
 
-def test_prime_set_validation():
+def test_a_set_that_is_not_increasing_primes_within_64_bits_is_refused():
     with pytest.raises(ValueError):
         PrimeSet((4,))
     with pytest.raises(ValueError):
         PrimeSet((3, 2))
     with pytest.raises(CapacityOverflowError):
-        prime_set([p for p in sieve_squarefree(200) if omega(p) == 1 and p > 1][:20])
+        PrimeSet(tuple(p for p in sieve_squarefree(200) if omega(p) == 1 and p > 1)[:20])
 
 
 def test_partition_blocks_equal_checked_prime_sets():
@@ -109,7 +107,7 @@ def test_partitions_map_to_coprime_factorizations():
         for h in (2, 3):
             seen = set()
             for t in factorizations_as_partitions(q, h):
-                factors = tuple(phi_inverse(b) for b in t)
+                factors = tuple(prod(b) for b in t)
                 assert prod(factors) == q
                 for i in range(h):
                     for j in range(i + 1, h):
