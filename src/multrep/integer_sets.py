@@ -819,6 +819,8 @@ def parse_set(text: str) -> SetDescription:
         if not (integer or token in _KINDS or token in ("inf", "(", ")", ",")):
             near = _cut(text[m.start():])
             raise ValueError(f"bad token {_cut(token)!r} near {near!r}")
+        if integer and token[0] == "0" and token.strip("0"):
+            raise ValueError(f"integer {_cut(token)!r} has a leading zero")
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:

@@ -542,8 +542,8 @@ def dump_coloring(coloring: Coloring) -> str:
 def load_coloring(text: str) -> Coloring:
     """Parse the text format: a ground line, a k line, then one
     "elements : color" line per k-subset, in any order.  A line whose
-    text before its last colon is "ground" or "k" is a header; any
-    other line with a colon is a row.  Totality is validated.
+    text before its last colon is "ground" or "k" is a header, given
+    once; any other line with a colon is a row.  Totality is validated.
 
     Each row's elements are looked up as written among the subsets as
     dump_coloring writes them; a row written otherwise (other spacing,
@@ -551,24 +551,24 @@ def load_coloring(text: str) -> Coloring:
     up again.  The headers are checked before any row: a table above
     TABLE_CAP raises ResourceLimitError before the subsets are listed.
     """
-    ground = None
-    k = None
+    headers = {}
     rows = []
     for raw in text.splitlines():
         line = raw.partition("#")[0]
         left, colon, right = line.rpartition(":")
         key = left.strip()
-        if key == "ground":
-            ground = [int(x) for x in right.split()]
-        elif key == "k":
-            k = int(right)
+        if key == "ground" or key == "k":
+            if key in headers:
+                raise ValueError(f"coloring file has more than one '{key}:' line")
+            headers[key] = right
         elif colon:
             rows.append((key, right))
         elif line and not line.isspace():
             raise ValueError(f"bad coloring line: {raw!r}")
     # rows are read once both headers are known, wherever they sit
-    if ground is None or k is None:
+    if len(headers) < 2:
         raise ValueError("coloring file needs 'ground:' and 'k:' lines")
+    ground, k = [int(x) for x in headers["ground"].split()], int(headers["k"])
     subsets = _shape(ground, k)
     index = subsets.index()
     table = [None] * subsets.size

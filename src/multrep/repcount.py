@@ -18,9 +18,9 @@ only when its suffix count is non-zero, so listing stops after tuple_cap
 tuples however large g(n) is.  A level above the tail tries the sorted
 divisors of n against the tables flags[i][x] (part i holds the divisor
 with index x) and cnt[i][x].  A tail level reads its branches from the
-per-prime digits instead: a box of exponents, a set of them per prime,
-walked in ascending order of the divisor by a heap, so no tail level is
-built over the divisors of n.
+per-prime digits instead: a row of powers per prime, whose products are
+listed in ascending order by a lazy merge, so no tail level is built over
+the divisors of n.
 
 Window scans, witness streams and catalog evidence read their counts
 from one generator (_counts), which splits g into F * G, the
@@ -38,9 +38,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
-from heapq import heappop, heappush
-from itertools import compress, islice
-from math import log, prod
+from heapq import merge
+from itertools import compress, islice, tee
+from math import log
 
 from .errors import ResourceLimitError
 from .integer_sets import (
@@ -49,7 +49,6 @@ from .integer_sets import (
     SetDescription,
     _divisor_values,
     _spread,
-    _steps,
     basis_system,
     factorize,
     smallest_prime_factors,
@@ -217,6 +216,18 @@ def _digit(packed: int, a: int, width: int) -> int:
     return (packed >> (a * width)) & ((1 << width) - 1)
 
 
+def _products(rows):
+    """The products of one entry from each row (ascending powers of
+    distinct primes) in ascending order, each computed only when read."""
+    factor, stream = 1, iter((1,))
+    for row in rows:
+        if len(row) == 1:
+            factor *= row[0]
+        else:  # merge the products so far times each entry of the row
+            stream = merge(*(map(q.__mul__, s) for q, s in zip(row, tee(stream, len(row)))))
+    return map(factor.__mul__, stream)
+
+
 def _lex_tuples(table: _Lattice, n: int, cap: int):
     """The first cap tuples in lexicographic order: a depth-first walk
     that tries each level's divisors in ascending order and enters a
@@ -226,57 +237,42 @@ def _lex_tuples(table: _Lattice, n: int, cap: int):
     A level above the tail tries the sorted divisors of n against flags
     and cnt, reading the suffix count before membership, which a part
     therefore need decide only where the suffix count is non-zero.  A
-    tail level i reads its branches from per-prime digits: with the
-    cofactor's exponents b, they are the products of p_j^a_j over a box,
-    the a <= b_j with p_j^a in part i and a non-zero digit b_j - a in the
-    suffix row of level i + 1.  A heap walks the box in ascending order,
-    each entry raising only the primes at or after the last one raised,
-    so that each divisor is pushed once and no tail level is built over
-    the divisors of n."""
+    tail level i lists the products of one power per prime (_products),
+    p's row the p^a in part i, with p^b exactly dividing the cofactor
+    and a non-zero digit b - a in the suffix row of level i + 1, so no
+    tail level is built over the divisors of n."""
     h, t, chains = table.h, table.t, table.chains
-    primes, exps = list(table.factors), list(table.factors.values())
     found: list[tuple[int, ...]] = []
 
-    def tail(i: int, m: int, b: list[int], prefix: tuple[int, ...]) -> None:
+    def tail(i: int, m: int, prefix: tuple[int, ...]) -> None:
         # i < h - 1: the level below lists the last part's m // v itself
         rows = []
-        for bj, (_, allowed, width, suffixes) in zip(b, chains):
+        for p, (_, allowed, width, suffixes) in zip(table.factors, chains):
+            b, q = 0, m
+            while q % p == 0:
+                q, b = q // p, b + 1
             holds, below = allowed[i - t], suffixes[i + 1 - t]
-            rows.append([a for a in range(bj + 1) if holds[a] and _digit(below, bj - a, width)])
-        # the next exponent in each row, and the primes with a choice
-        after = [dict(zip(row, row[1:])) for row in rows]
-        free = [j for j, row in enumerate(rows) if len(row) > 1]
-        least = tuple(row[0] for row in rows)
-        heap = [(prod(p**a for p, a in zip(primes, least)), 0, least)]
-        while heap:
-            v, k, chosen = heappop(heap)
+            rows.append([p**a for a in range(b + 1) if holds[a] and _digit(below, b - a, width)])
+        for v in _products(rows):
             if i + 2 == h:  # the last part holds m // v
                 found.append(prefix + (v, m // v))
             else:
-                tail(i + 1, m // v, [bj - a for bj, a in zip(b, chosen)], prefix + (v,))
+                tail(i + 1, m // v, prefix + (v,))
             if len(found) == cap:
                 return
-            for f in range(k, len(free)):
-                j = free[f]
-                a = after[j].get(chosen[j])
-                if a is not None:
-                    raised = chosen[:j] + (a,) + chosen[j + 1 :]
-                    heappush(heap, (v * primes[j] ** (a - chosen[j]), f, raised))
 
     if t == 0:
-        tail(0, n, exps, ())
+        tail(0, n, ())
         return tuple(found)
     flags, cnt, values = table._flags, table._cnt, table._values
     ordered = sorted(zip(values, range(len(values))))
-    steps = _steps(table.factors)
 
     def walk(i: int, m: int, x: int, prefix: tuple[int, ...]) -> None:
         if i == h - 1:
             found.append(prefix + (m,))
             return
         if i == t:
-            # hand over to the tail with the exponents of m, index x
-            tail(i, m, [x // s % (e + 1) for s, e in zip(steps, exps)], prefix)
+            tail(i, m, prefix)
             return
         for v, d in ordered:
             if v > m:

@@ -143,8 +143,10 @@ def test_trailing_comma_and_redundant_parentheses_are_read():
 
 
 def test_leading_zero_integer_is_refused():
-    with pytest.raises(ValueError):
-        parse_set("Singleton(1,007)")
+    for text, token in (("Singleton(1,007)", "007"), ("PowersOf(2,01)", "01")):
+        with pytest.raises(ValueError, match=f"integer '{token}' has a leading zero") as caught:
+            parse_set(text)
+        assert "0o" not in str(caught.value)
     assert parse_set("Singleton(0,00)") == Singleton((0,))
 
 

@@ -532,9 +532,12 @@ FULL = "1 2 : 0\n1 3 : 1\n2 3 : 0\n"
         (HEADER + "1 2 : 0\n1 3 1\n2 3 : 0\n", "bad coloring line: '1 3 1'"),
         ("ground: 1 2 3\n" + FULL, "needs 'ground:' and 'k:' lines"),
         ("ground: 1 2 3\nk: -1\n", "k must be >= 0"),
+        ("ground: 1 2\n" + HEADER + FULL, "more than one 'ground:' line"),
+        ("ground: 1 2 3\nk: 1\nk: 2\n" + FULL, "more than one 'k:' line"),
     ],
     ids=["duplicate-reordered", "missing-row", "outside-ground", "outside-ground-twice",
-         "wrong-size", "negative-color", "no-colon", "no-k-header", "negative-k"],
+         "wrong-size", "negative-color", "no-colon", "no-k-header", "negative-k",
+         "repeated-ground-header", "repeated-k-header"],
 )
 def test_load_rejects_invalid_file(text, message):
     with pytest.raises(ValueError, match=message):

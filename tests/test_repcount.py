@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 import time
@@ -291,14 +292,38 @@ def test_listing_is_lexicographic_prefix(system, n, cap):
     ],
 )
 def test_listing_is_lexicographic_prefix_at_many_divisors(spec, n):
-    # 240 and 66 divisors: the tail's levels walk boxes of many divisors
+    # 240 and 66 divisors: the tail's levels walk boxes of many divisors;
+    # the last cap is above every count, so the whole listing is compared
     system = parse_system_spec(spec)
     expected = oracle_rep_tuples(system, n)
-    for cap in (1, 5, 64):
+    for cap in (1, 5, 64, 10**6):
         w = count_system_reps(system, n, tuple_cap=cap)
         assert w.count == len(expected)
         assert list(w.tuples) == expected[:cap]
         assert w.truncated == (len(expected) > cap)
+
+
+def test_tail_products_are_listed_lazily_in_ascending_order():
+    # the 40 rows [1, p] have 2^40 products, which the first 64 must not need
+    primes = list(sympy.primerange(2, sympy.prime(40) + 1))
+    first = list(itertools.islice(repcount._products([[1, p] for p in primes]), 64))
+    least = []
+    k = 0
+    while len(least) < 64:
+        k += 1
+        factors = sympy.factorint(k)
+        if all(e == 1 and p <= primes[-1] for p, e in factors.items()):
+            least.append(k)
+    assert first == least
+    # rows that mix several powers, with gaps, and single entries
+    rng = random.Random(33)
+    for _ in range(50):
+        rows = []
+        for p in rng.sample(primes[:6], rng.randint(0, 5)):
+            exps = rng.sample(range(6), rng.randint(1, 4))
+            rows.append([p**a for a in sorted(exps)])
+        expected = sorted(math.prod(c) for c in itertools.product(*rows))
+        assert list(repcount._products(rows)) == expected
 
 
 @pytest.mark.parametrize(
