@@ -33,10 +33,11 @@ _KEPT_SUBSETS = 1 << 10
 
 
 class _Subsets:
-    """The k-subsets of a sorted ground in rank order, in three views: as
-    frozensets, as the texts dump_coloring writes, and as the dict from
-    text to rank.  Each view is built afresh when it is read, so a shape
-    that is not kept holds nothing once its caller is done with it."""
+    """The k-subsets of a sorted ground in rank order, in four views: as
+    frozensets, as the texts dump_coloring writes, as the dict from text
+    to rank, and as the template of the whole dump.  Each view is built
+    afresh when it is read, so a shape that is not kept holds nothing
+    once its caller is done with it."""
 
     def __init__(self, ground: tuple, k: int, size: int):
         self.ground = ground
@@ -53,6 +54,19 @@ class _Subsets:
     def index(self) -> dict:
         return {text: r for r, text in enumerate(self.texts())}
 
+    def template(self) -> str:
+        """The text dump_coloring writes, with %s in place of each color:
+        the ground and k lines, then "<subset text> : %s" per subset in
+        rank order."""
+        head = f"ground: {' '.join(map(str, self.ground))}\nk: {self.k}\n"
+        texts = self.texts()
+        if "%" in head:  # every element of a row text also prints in head
+            head = head.replace("%", "%%")
+            texts = [text.replace("%", "%%") for text in texts]
+        if not self.size:
+            return head
+        return "".join((head, " : %s\n".join(texts), " : %s\n"))
+
 
 class _KeptSubsets(_Subsets):
     """The views of a kept shape, each built once and shared by every
@@ -62,6 +76,7 @@ class _KeptSubsets(_Subsets):
         super().__init__(ground, k, size)
         self._frozensets = tuple(super().frozensets())
         self._index = {text: r for r, text in enumerate(super().texts())}
+        self._template = super().template()
 
     def frozensets(self):
         return self._frozensets
@@ -71,6 +86,9 @@ class _KeptSubsets(_Subsets):
 
     def index(self) -> dict:
         return self._index
+
+    def template(self) -> str:
+        return self._template
 
 
 _kept_subsets = lru_cache(maxsize=_KEPT_SHAPES)(_KeptSubsets)
@@ -88,10 +106,10 @@ def _shape(ground, k: int) -> _Subsets:
     Equal plain ints print alike, so equal grounds of them may share
     texts; a ground with any other element (1.0, True, ...) is never
     kept, since it may equal a kept ground and print otherwise.  A kept
-    shape takes under 0.5 MiB with its key (the worst case is 2^10
-    singletons of 20-character ints, about 0.39 MB), so the cache holds
-    under 8 MiB whatever shapes go through it.  Any other shape gets
-    views built for the call, and keeps nothing.
+    shape takes under 0.5 MiB with its key and its dump template (the
+    worst case is 2^10 singletons of 20-character ints, about 0.44 MB),
+    so the cache holds under 8 MiB whatever shapes go through it.  Any
+    other shape gets views built for the call, and keeps nothing.
     """
     ground = tuple(sorted(set(ground)))
     if k < 0:
@@ -531,12 +549,12 @@ def doubly_iterated_chain(
 # interchange format
 # ---------------------------------------------------------------------------
 
+# the byte of each ASCII digit mapped to its value
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
 def dump_coloring(coloring: Coloring) -> str:
-    ground, k = coloring.ground, coloring.k
-    lines = ["ground: " + " ".join(map(str, ground)), f"k: {k}"]
-    texts = _shape(ground, k).texts()
-    lines += [f"{s} : {col}" for s, col in zip(texts, coloring.table)]
-    return "\n".join(lines) + "\n"
+    return _shape(coloring.ground, coloring.k).template() % tuple(coloring.table)
 
 
 def load_coloring(text: str) -> Coloring:
@@ -545,16 +563,68 @@ def load_coloring(text: str) -> Coloring:
     text before its last colon is "ground" or "k" is a header, given
     once; any other line with a colon is a row.  Totality is validated.
 
-    Each row's elements are looked up as written among the subsets as
+    A text in dump_coloring's layout is read whole, by string methods
+    with no Python step per row; any other text, and every error, goes
+    to the line reader (_read_lines), handed the shape read from the two
+    header lines.  The whole-text read accepts a text only when the
+    colors c_r found between each " : " and the next newline are
+    non-empty runs of ASCII digits and template % (c_0, c_1, ...) ==
+    text, for the shape's dump template.  Such a text is the shape's
+    exact header lines and then "texts[r] : c_r" for each rank r, one to
+    a line, with no "#" and no line break but "\n".  So the line reader
+    would find the same headers, find each row's text in the index at
+    rank r and read int(" " + c_r) == int(c_r): the same table.
+    """
+    i = text.find("\n")
+    j = text.find("\n", i + 1)
+    shaped = None
+    if text.startswith("ground: ") and text.startswith("k: ", i + 1) and j > 0:
+        # each header's value as the line reader takes it, unless that
+        # line has a later colon or a "#"; _read_lines checks which
+        ground, k = text[7:i], text[i + 3 : j]
+        try:
+            subsets = _shape(list(map(int, ground.split())), int(k))
+        except (ValueError, ResourceLimitError):
+            pass  # the line reader raises it, after any earlier error
+        else:
+            size = subsets.size
+            # the first row is checked first, so that rows in another
+            # order or spacing stop before a template is built
+            if "#" not in text and (
+                not size or text.startswith(next(iter(subsets.texts())) + " : ", j + 1)
+            ):
+                tokens = text.replace(" : ", "\n").split("\n")
+                colors = tokens[3::2]
+                digits = "".join(colors)
+                if (
+                    len(tokens) == 2 * size + 3
+                    and all(colors)
+                    and not digits.strip("0123456789")
+                    and subsets.template() % tuple(colors) == text
+                ):
+                    if len(digits) == size:  # one digit each
+                        table = list(digits.encode().translate(_DIGIT_VALUES))
+                    else:
+                        table = list(map(int, colors))
+                    return Coloring._from_table(subsets.ground, subsets.k, table)
+            shaped = (ground, k, subsets)
+    return _read_lines(text, shaped)
+
+
+def _read_lines(text: str, shaped: tuple | None) -> Coloring:
+    """Read text line by line: the headers wherever they sit, and each
+    row's elements looked up as written among the subsets as
     dump_coloring writes them; a row written otherwise (other spacing,
     elements out of order or repeated) is read through int() and looked
     up again.  The headers are checked before any row: a table above
     TABLE_CAP raises ResourceLimitError before the subsets are listed.
-    """
+    shaped is (ground, k, shape), the shape already read from those two
+    header values, or None."""
     headers = {}
     rows = []
+    comments = "#" in text  # a comment runs from "#" to the end of its line
     for raw in text.splitlines():
-        line = raw.partition("#")[0]
+        line = raw.partition("#")[0] if comments else raw
         left, colon, right = line.rpartition(":")
         key = left.strip()
         if key == "ground" or key == "k":
@@ -568,27 +638,55 @@ def load_coloring(text: str) -> Coloring:
     # rows are read once both headers are known, wherever they sit
     if len(headers) < 2:
         raise ValueError("coloring file needs 'ground:' and 'k:' lines")
-    ground, k = [int(x) for x in headers["ground"].split()], int(headers["k"])
-    subsets = _shape(ground, k)
+    ground, k = headers["ground"], headers["k"]
+    if shaped is not None and shaped[:2] == (ground, k):
+        subsets = shaped[2]
+    else:
+        try:
+            elements = list(map(int, ground.split()))
+        except ValueError:
+            raise _bad_line(text, "ground", ground) from None
+        try:
+            size = int(k)
+        except ValueError:
+            raise _bad_line(text, "k", k) from None
+        subsets = _shape(elements, size)
     index = subsets.index()
     table = [None] * subsets.size
     extraneous = set()
-    for key, right in rows:
+    for written, right in rows:
+        key = written
         r = index.get(key)
         if r is None:
-            key = " ".join(str(x) for x in sorted({int(x) for x in key.split()}))
+            try:
+                key = " ".join(str(x) for x in sorted({int(x) for x in key.split()}))
+            except ValueError:
+                raise _bad_line(text, written, right) from None
             r = index.get(key)
         if r is None:
             if key in extraneous:
                 raise _duplicate(key)
             extraneous.add(key)
-            int(right)  # a malformed color is reported before totality
         elif table[r] is not None:
             raise _duplicate(key)
-        else:
-            table[r] = int(right)
-    _require_total(k, table.count(None), len(extraneous))
-    return Coloring._from_table(subsets.ground, k, table)
+        try:
+            color = int(right)  # a malformed color is reported before totality
+        except ValueError:
+            raise _bad_line(text, written, right) from None
+        if r is not None:
+            table[r] = color
+    _require_total(subsets.k, table.count(None), len(extraneous))
+    return Coloring._from_table(subsets.ground, subsets.k, table)
+
+
+def _bad_line(text: str, key: str, value: str) -> ValueError:
+    """The error quoting the first line of text that the line reader
+    reads as key and value, a value it could not read.  The reader keeps
+    no line of its own, so the line is found again."""
+    for raw in text.splitlines():
+        left, colon, right = raw.partition("#")[0].rpartition(":")
+        if colon and right == value and left.strip() == key:
+            return ValueError(f"bad coloring line: {raw!r}")
 
 
 def _duplicate(key: str) -> ValueError:

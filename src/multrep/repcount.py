@@ -219,13 +219,15 @@ def _digit(packed: int, a: int, width: int) -> int:
 def _products(rows):
     """The products of one entry from each row (ascending powers of
     distinct primes) in ascending order, each computed only when read."""
-    factor, stream = 1, iter((1,))
+    factor, stream = 1, None
     for row in rows:
         if len(row) == 1:
             factor *= row[0]
+        elif stream is None:  # the first such row is already in order
+            stream = iter(row)
         else:  # merge the products so far times each entry of the row
             stream = merge(*(map(q.__mul__, s) for q, s in zip(row, tee(stream, len(row)))))
-    return map(factor.__mul__, stream)
+    return map(factor.__mul__, (1,) if stream is None else stream)
 
 
 def _lex_tuples(table: _Lattice, n: int, cap: int):

@@ -207,6 +207,7 @@ def test_ramsey_command_finds_subset(capsys, tmp_path):
             "1 2 : 0\n1 3 : 1\n",
             "error: coloring is not total on the 2-subsets (missing 1, extraneous 0)\n",
         ),
+        ("1 2 : 0\n1 3 : x\n2 3 : 0\n", "error: bad coloring line: '1 3 : x'\n"),
     ],
 )
 def test_ramsey_command_rejects_invalid_file(capsys, tmp_path, rows, err):

@@ -534,14 +534,99 @@ FULL = "1 2 : 0\n1 3 : 1\n2 3 : 0\n"
         ("ground: 1 2 3\nk: -1\n", "k must be >= 0"),
         ("ground: 1 2\n" + HEADER + FULL, "more than one 'ground:' line"),
         ("ground: 1 2 3\nk: 1\nk: 2\n" + FULL, "more than one 'k:' line"),
+        ("ground: a b\nk: 1\na : 0\nb : 0\n", "^bad coloring line: 'ground: a b'$"),
+        ("ground: 1 2\nk: x  # k\n", r"^bad coloring line: 'k: x  # k'$"),
+        ("ground: 1 2\nk: 1\n1 : x\n2 : 0\n", "^bad coloring line: '1 : x'$"),
+        ("ground: 1 2\nk: 1\n2 : 0\n1  :  1.5 # c\n", "^bad coloring line: '1  :  1.5 # c'$"),
+        (HEADER + "1 2 : 0\n1 x : 1\n2 3 : 0\n", "^bad coloring line: '1 x : 1'$"),
+        (HEADER + FULL + "1 4 : x\n", "^bad coloring line: '1 4 : x'$"),
     ],
     ids=["duplicate-reordered", "missing-row", "outside-ground", "outside-ground-twice",
          "wrong-size", "negative-color", "no-colon", "no-k-header", "negative-k",
-         "repeated-ground-header", "repeated-k-header"],
+         "repeated-ground-header", "repeated-k-header", "non-int-ground", "non-int-k",
+         "non-int-color", "fractional-color", "non-int-element", "non-int-extra-color"],
 )
 def test_load_rejects_invalid_file(text, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as exc:
         load_coloring(text)
+    assert "int()" not in str(exc.value)
+
+
+def _read(load, text):
+    """(ground, k, table) of a load, or the type and message it raised."""
+    try:
+        c = load(text)
+    except (ValueError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+    return c.ground, c.k, c.table
+
+
+def _mutants(text, ground):
+    """text and the texts that change its layout, its rows or its colors."""
+    head, rows = text.splitlines()[:2], text.splitlines()[2:]
+    rng = random.Random(len(text))
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    outside = max(ground, default=0) + 1
+    lines = {
+        "dump": head + rows,
+        "shuffled": head + shuffled,
+        "comment": head + [row + "  # c" for row in rows],
+        "spaces": head + [row.replace(" : ", "  :  ") for row in rows],
+        "headers-last": rows + head,
+        "missing": head + rows[:-1],
+        "duplicate": head + rows + rows[:1],
+        "extra": head + rows + [f"{outside} : 0"],
+        "plus": head + [row.replace(" : ", " : +") for row in rows],
+        "zeros": head + [row.replace(" : ", " : 00") for row in rows],
+        "negative": head + rows[:-1] + [rows[-1].rpartition(" : ")[0] + " : -1"] if rows else head,
+        "repeated-header": head + rows + head[1:],
+    }
+    texts = {name: "\n".join(body) + "\n" for name, body in lines.items()}
+    texts["crlf"] = text.replace("\n", "\r\n")
+    return texts
+
+
+PARITY_COLORINGS = [
+    lambda: constant_coloring((9, 4), 0, color=5),
+    lambda: random_coloring(range(5), 1, 3, random.Random(1)),
+    lambda: random_coloring(range(6), 2, 2, random.Random(2)),
+    lambda: random_coloring((40, -7, 0, 3, 11, -2), 3, 3, random.Random(3)),
+    lambda: random_coloring(range(-30, 20), 2, 13, random.Random(4)),  # not kept
+    lambda: random_coloring(range(-12, -2), 2, 120, random.Random(5)),
+    lambda: constant_coloring((1, 2), 3),
+]
+
+
+@pytest.mark.parametrize("build", PARITY_COLORINGS,
+                         ids=["k0", "k1", "k2", "k3", "not-kept", "negative-ground", "no-subsets"])
+def test_load_answers_as_the_line_reader_does(build):
+    coloring = build()
+    text = dump_coloring(coloring)
+    assert _read(load_coloring, text) == (coloring.ground, coloring.k, coloring.table)
+    for name, mutant in _mutants(text, coloring.ground).items():
+        alone = _read(lambda t: ramsey._read_lines(t, None), mutant)
+        assert _read(load_coloring, mutant) == alone, name
+
+
+@pytest.mark.parametrize("build", PARITY_COLORINGS,
+                         ids=["k0", "k1", "k2", "k3", "not-kept", "negative-ground", "no-subsets"])
+def test_dumped_texts_never_reach_the_line_reader(build, monkeypatch):
+    coloring = build()
+    text = dump_coloring(coloring)
+
+    def refuse(text, shaped):
+        raise AssertionError("the line reader read a dump")
+
+    monkeypatch.setattr(ramsey, "_read_lines", refuse)
+    assert load_coloring(text) == coloring
+
+
+def test_a_percent_sign_in_an_element_dumps_as_written():
+    singles = Coloring(("a%s", "b"), 1, {frozenset({"a%s"}): 0, frozenset({"b"}): 1})
+    assert dump_coloring(singles) == "ground: a%s b\nk: 1\na%s : 0\nb : 1\n"
+    pair = Coloring(("b", "%d%%"), 2, {frozenset({"b", "%d%%"}): 3})
+    assert dump_coloring(pair) == "ground: %d%% b\nk: 2\n%d%% b : 3\n"
 
 
 # grounds equal as values, in pairs or threes, whose elements print otherwise

@@ -324,6 +324,10 @@ def test_tail_products_are_listed_lazily_in_ascending_order():
             rows.append([p**a for a in sorted(exps)])
         expected = sorted(math.prod(c) for c in itertools.product(*rows))
         assert list(repcount._products(rows)) == expected
+    # the only row of several powers is listed as it stands
+    powers = [2**a for a in range(41)]
+    assert list(repcount._products([powers])) == powers
+    assert list(repcount._products([[27], powers, [5], [7]])) == [945 * q for q in powers]
 
 
 @pytest.mark.parametrize(
