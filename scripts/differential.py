@@ -12,14 +12,22 @@ process under distinct package names, and each case is run in both:
   above SIEVE_LIMIT (2^20), the yielded prefix kept up to any error;
 - count_ordered_covers of image families whose universe holds S, leaves
   elements out or adds primes, and of cardinality and explicit families;
-- verify_correspondence.
+- verify_correspondence;
+- dump_coloring of COLORINGS seeded random colorings (k from 0 to 3,
+  negative elements, up to 12 colors), and load_coloring of each dump as
+  this script writes it and of its mutations: rows shuffled, re-spaced,
+  commented or short, a row repeated or outside the ground, headers
+  last or repeated, CRLF line ends, colors written +1, 007, -1, x or
+  1.5, and a ground or k that is not an int.
 
 The corpus holds named systems, RANDOM_SYSTEMS grammar systems drawn
-from a generator seeded with SEED, and squarefree q with 4194319 or
-4194329, primes past the prime index cap.  Results are compared as plain
-records, since two trees' classes never compare equal.  Prints one JSON
-line (cases, raising cases and count, type and message mismatches, the
-first few of them listed) and exits 1 on a count or type mismatch.
+from a generator seeded with SEED, squarefree q with 4194319 or
+4194329, primes past the prime index cap, and the colorings, drawn from
+a generator of their own.  Results are compared as plain records, since
+two trees' classes never compare equal: a loaded coloring as (ground,
+k, table).  Prints one JSON line (cases, raising cases and count, type
+and message mismatches, the first few of them listed) and exits 1 on a
+count or type mismatch.
 
     python scripts/differential.py --base HEAD~1
     python scripts/differential.py --base-src /path/to/other/src
@@ -29,6 +37,7 @@ import argparse
 import importlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import random
@@ -60,8 +69,9 @@ NAMED = [
     "parts:Union(Squarefree,Primes);Union(Squarefree,Primes);AllNaturals",
 ]
 
-SEED = 26  # of the random grammar systems
+SEED = 26  # of the random grammar systems and the colorings
 RANDOM_SYSTEMS = 1800
+COLORINGS = 150
 SIEVE = 1 << 20
 BIG = (4194319, 4194329)  # the first primes past the prime index cap
 CAPS = (1, 5, 64)  # the tuple caps of each count; 64 is DEFAULT_TUPLE_CAP
@@ -163,10 +173,55 @@ def universe_of(rng: random.Random, s: list[int]) -> list[int]:
     return s + [p for p in PRIMES[8:] if rng.random() < 0.5]
 
 
-def corpus(seed: int, named: int, random_systems: int):
-    """The cases, each a tuple of plain data: the first named systems of
-    NAMED, then random_systems drawn from the seed and a quarter as many
-    cardinality and explicit family tuples."""
+def coloring_text(ground, k: int, colors) -> str:
+    """A coloring in the interchange format as dump_coloring writes it:
+    the sorted ground, k, then one row per k-subset in combinations
+    order."""
+    ground = sorted(set(ground))
+    rows = [f"{' '.join(map(str, s))} : {c}" for s, c in zip(itertools.combinations(ground, k), colors)]
+    return "\n".join([f"ground: {' '.join(map(str, ground))}", f"k: {k}", *rows]) + "\n"
+
+
+def coloring_mutants(text: str, rng: random.Random) -> list[str]:
+    """text in other layouts, with rows missing, repeated or added, and
+    with colors, ground or k written otherwise."""
+    lines = text.splitlines()
+    head, rows = lines[:2], lines[2:]
+    shuffled = rng.sample(rows, len(rows))
+    at = rng.randrange(len(rows)) if rows else 0
+    row = rows[at] if rows else " : 0"
+    bodies = [
+        head + shuffled,
+        head + [r.replace(" ", "  ") for r in rows],
+        head + [r + "  # c" for r in rows],
+        rows + head,
+        head + rows + head[1:],
+        head + rows[:-1],
+        head + rows + [row],
+        head + rows + ["-99 : 0"],
+        ["ground: a b", *head[1:], *rows],
+        [head[0], "k: x", *rows],
+    ]
+    for color in ("+1", "007", "-1", "x", "1.5"):
+        written = row.rpartition(" : ")[0] + " : " + color
+        bodies.append(head + rows[:at] + [written] + rows[at + 1 :])
+    return ["\n".join(body) + "\n" for body in bodies] + [text.replace("\n", "\r\n")]
+
+
+def corpus(seed: int, named: int, random_systems: int, colorings: int = COLORINGS):
+    """The cases, each a tuple of plain data: the colorings, then the
+    first named systems of NAMED, then random_systems drawn from the seed
+    and a quarter as many cardinality and explicit family tuples."""
+    rng = random.Random(f"{seed}:colorings")
+    for _ in range(colorings):
+        k = rng.randint(0, 3)
+        ground = rng.sample(range(-20, 30), rng.randint(max(k - 1, 0), 9))
+        colors = [rng.randrange(rng.choice((1, 2, 3, 12))) for _ in itertools.combinations(ground, k)]
+        yield ("dump", ground, k, colors)
+        text = coloring_text(ground, k, colors)
+        yield ("load", text)
+        for mutant in coloring_mutants(text, rng):
+            yield ("load", mutant)
     rng = random.Random(seed)
     for spec in NAMED[:named]:
         for n in POINTS:
@@ -210,6 +265,14 @@ def run(pkg, case):
     kind, *args = case
     value = []
     try:
+        if kind == "dump":
+            ground, k, colors = args
+            subsets = itertools.combinations(sorted(set(ground)), k)
+            coloring = pkg.Coloring(ground, k, dict(zip(map(frozenset, subsets), colors)))
+            return pkg.dump_coloring(coloring), None
+        if kind == "load":
+            coloring = pkg.load_coloring(args[0])
+            return [list(coloring.ground), coloring.k, coloring.table], None
         if kind == "count":
             spec, n = args
             system = pkg.cli.parse_system_spec(spec)

@@ -596,10 +596,10 @@ PARITY_COLORINGS = [
     lambda: random_coloring(range(-12, -2), 2, 120, random.Random(5)),
     lambda: constant_coloring((1, 2), 3),
 ]
+PARITY_IDS = ["k0", "k1", "k2", "k3", "not-kept", "negative-ground", "no-subsets"]
 
 
-@pytest.mark.parametrize("build", PARITY_COLORINGS,
-                         ids=["k0", "k1", "k2", "k3", "not-kept", "negative-ground", "no-subsets"])
+@pytest.mark.parametrize("build", PARITY_COLORINGS, ids=PARITY_IDS)
 def test_load_answers_as_the_line_reader_does(build):
     coloring = build()
     text = dump_coloring(coloring)
@@ -609,8 +609,7 @@ def test_load_answers_as_the_line_reader_does(build):
         assert _read(load_coloring, mutant) == alone, name
 
 
-@pytest.mark.parametrize("build", PARITY_COLORINGS,
-                         ids=["k0", "k1", "k2", "k3", "not-kept", "negative-ground", "no-subsets"])
+@pytest.mark.parametrize("build", PARITY_COLORINGS, ids=PARITY_IDS)
 def test_dumped_texts_never_reach_the_line_reader(build, monkeypatch):
     coloring = build()
     text = dump_coloring(coloring)
