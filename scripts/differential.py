@@ -208,12 +208,12 @@ def coloring_mutants(text: str, rng: random.Random) -> list[str]:
     return ["\n".join(body) + "\n" for body in bodies] + [text.replace("\n", "\r\n")]
 
 
-def corpus(seed: int, named: int, random_systems: int, colorings: int = COLORINGS):
-    """The cases, each a tuple of plain data: the colorings, then the
+def corpus(seed: int, named: int, random_systems: int):
+    """The cases, each a tuple of plain data: COLORINGS colorings, then the
     first named systems of NAMED, then random_systems drawn from the seed
     and a quarter as many cardinality and explicit family tuples."""
     rng = random.Random(f"{seed}:colorings")
-    for _ in range(colorings):
+    for _ in range(COLORINGS):
         k = rng.randint(0, 3)
         ground = rng.sample(range(-20, 30), rng.randint(max(k - 1, 0), 9))
         colors = [rng.randrange(rng.choice((1, 2, 3, 12))) for _ in itertools.combinations(ground, k)]

@@ -563,52 +563,71 @@ def load_coloring(text: str) -> Coloring:
     text before its last colon is "ground" or "k" is a header, given
     once; any other line with a colon is a row.  Totality is validated.
 
-    A text in dump_coloring's layout is read whole, by string methods
-    with no Python step per row; any other text, and every error, goes
-    to the line reader (_read_lines), handed the shape read from the two
-    header lines.  The whole-text read accepts a text only when the
-    colors c_r found between each " : " and the next newline are
-    non-empty runs of ASCII digits and template % (c_0, c_1, ...) ==
-    text, for the shape's dump template.  Such a text is the shape's
-    exact header lines and then "texts[r] : c_r" for each rank r, one to
-    a line, with no "#" and no line break but "\n".  So the line reader
-    would find the same headers, find each row's text in the index at
-    rank r and read int(" " + c_r) == int(c_r): the same table.
+    A text in dump_coloring's layout is read whole by _read_dump; any
+    other text, and every error, goes to the line reader (_read_lines),
+    handed the shape read from the two header lines.
     """
     i = text.find("\n")
     j = text.find("\n", i + 1)
     shaped = None
     if text.startswith("ground: ") and text.startswith("k: ", i + 1) and j > 0:
         # each header's value as the line reader takes it, unless that
-        # line has a later colon or a "#"; _read_lines checks which
-        ground, k = text[7:i], text[i + 3 : j]
+        # line has a later colon, a "#" or another line break;
+        # _read_lines checks which
+        ground, k = text[7:i].removesuffix("\r"), text[i + 3 : j].removesuffix("\r")
         try:
             subsets = _shape(list(map(int, ground.split())), int(k))
         except (ValueError, ResourceLimitError):
             pass  # the line reader raises it, after any earlier error
         else:
-            size = subsets.size
-            # the first row is checked first, so that rows in another
-            # order or spacing stop before a template is built
-            if "#" not in text and (
-                not size or text.startswith(next(iter(subsets.texts())) + " : ", j + 1)
-            ):
-                tokens = text.replace(" : ", "\n").split("\n")
-                colors = tokens[3::2]
-                digits = "".join(colors)
-                if (
-                    len(tokens) == 2 * size + 3
-                    and all(colors)
-                    and not digits.strip("0123456789")
-                    and subsets.template() % tuple(colors) == text
-                ):
-                    if len(digits) == size:  # one digit each
-                        table = list(digits.encode().translate(_DIGIT_VALUES))
-                    else:
-                        table = list(map(int, colors))
-                    return Coloring._from_table(subsets.ground, subsets.k, table)
+            table = _read_dump(text, j + 1, subsets)
+            if table is not None:
+                return Coloring._from_table(subsets.ground, subsets.k, table)
             shaped = (ground, k, subsets)
     return _read_lines(text, shaped)
+
+
+def _read_dump(text: str, start: int, subsets: _Subsets) -> list | None:
+    """The table of text, whose rows begin at start, read by string
+    methods with no Python step per row; or None unless text is the dump
+    of a table of the shape subsets.
+
+    The colors c_r found between each " : " and the next newline must be
+    non-empty runs of ASCII digits with template % (c_0, c_1, ...) ==
+    text, for the shape's dump template.  Such a text is the shape's
+    exact header lines and then "texts[r] : c_r" for each rank r, one to
+    a line, with no "#" and no line break but "\n".  So the line reader
+    would find the same headers, find each row's text in the index at
+    rank r and read int(" " + c_r) == int(c_r): the same table.  The
+    cheap checks come first: a text with a line missing or added, with
+    its first row written otherwise or its last line not ending in a
+    digit and "\n" stops before it is split, and one with a malformed
+    color before a template is built."""
+    size = subsets.size
+    if (
+        "#" in text
+        or not text.endswith("\n")
+        or text[-2] not in "0123456789"  # the last color, or k
+        or text.count("\n") != size + 2
+        or (size and not text.startswith(next(iter(subsets.texts())) + " : ", start))
+    ):
+        return None
+    tokens = text.replace(" : ", "\n").split("\n")
+    colors = tokens[3::2]
+    digits = "".join(colors)
+    if (
+        len(tokens) != 2 * size + 3
+        or not all(colors)
+        or digits.strip("0123456789")
+        or subsets.template() % tuple(colors) != text
+    ):
+        return None
+    if len(digits) == size:  # one digit each
+        return list(digits.encode().translate(_DIGIT_VALUES))
+    try:
+        return list(map(int, colors))
+    except ValueError:  # past int()'s digit limit; the line reader says so
+        return None
 
 
 def _read_lines(text: str, shaped: tuple | None) -> Coloring:
@@ -682,11 +701,20 @@ def _read_lines(text: str, shaped: tuple | None) -> Coloring:
 def _bad_line(text: str, key: str, value: str) -> ValueError:
     """The error quoting the first line of text that the line reader
     reads as key and value, a value it could not read.  The reader keeps
-    no line of its own, so the line is found again."""
-    for raw in text.splitlines():
-        left, colon, right = raw.partition("#")[0].rpartition(":")
-        if colon and right == value and left.strip() == key:
-            return ValueError(f"bad coloring line: {raw!r}")
+    no line of its own, so the line is found again: such a line holds
+    ":" + value, so only the stretches between newlines that hold it are
+    cut into lines."""
+    written = ":" + value
+    at = text.find(written)
+    while at >= 0:
+        end = text.find("\n", at)
+        if end < 0:
+            end = len(text)
+        for raw in text[text.rfind("\n", 0, at) + 1 : end].splitlines():
+            left, colon, right = raw.partition("#")[0].rpartition(":")
+            if colon and right == value and left.strip() == key:
+                return ValueError(f"bad coloring line: {raw!r}")
+        at = text.find(written, end)
 
 
 def _duplicate(key: str) -> ValueError:

@@ -540,11 +540,14 @@ FULL = "1 2 : 0\n1 3 : 1\n2 3 : 0\n"
         ("ground: 1 2\nk: 1\n2 : 0\n1  :  1.5 # c\n", "^bad coloring line: '1  :  1.5 # c'$"),
         (HEADER + "1 2 : 0\n1 x : 1\n2 3 : 0\n", "^bad coloring line: '1 x : 1'$"),
         (HEADER + FULL + "1 4 : x\n", "^bad coloring line: '1 4 : x'$"),
+        ("ground: 1 2\r\nk: 1\r\n1 : 0\r\n2 : x\r\n", "^bad coloring line: '2 : x'$"),
+        ("ground: 1 2\nk: 1\n1 : 0 # was: x\n2 : x\n", "^bad coloring line: '2 : x'$"),
     ],
     ids=["duplicate-reordered", "missing-row", "outside-ground", "outside-ground-twice",
          "wrong-size", "negative-color", "no-colon", "no-k-header", "negative-k",
          "repeated-ground-header", "repeated-k-header", "non-int-ground", "non-int-k",
-         "non-int-color", "fractional-color", "non-int-element", "non-int-extra-color"],
+         "non-int-color", "fractional-color", "non-int-element", "non-int-extra-color",
+         "crlf-non-int-color", "non-int-color-after-comment"],
 )
 def test_load_rejects_invalid_file(text, message):
     with pytest.raises(ValueError, match=message) as exc:
@@ -580,10 +583,16 @@ def _mutants(text, ground):
         "plus": head + [row.replace(" : ", " : +") for row in rows],
         "zeros": head + [row.replace(" : ", " : 00") for row in rows],
         "negative": head + rows[:-1] + [rows[-1].rpartition(" : ")[0] + " : -1"] if rows else head,
+        "letter": head + rows[:-1] + [rows[-1].rpartition(" : ")[0] + " : x"] if rows else head,
+        # more digits than int() reads from a string
+        "long": head + rows[:-1] + [rows[-1].rpartition(" : ")[0] + " : " + "1" * 4301]
+        if rows
+        else head,
         "repeated-header": head + rows + head[1:],
     }
     texts = {name: "\n".join(body) + "\n" for name, body in lines.items()}
     texts["crlf"] = text.replace("\n", "\r\n")
+    texts["no-final-newline"] = text[:-1]
     return texts
 
 
