@@ -18,7 +18,10 @@ process under distinct package names, and each case is run in both:
   this script writes it and of its mutations: rows shuffled, re-spaced,
   commented or short, a row repeated or outside the ground, headers
   last or repeated, CRLF line ends, colors written +1, 007, -1, x or
-  1.5, and a ground or k that is not an int.
+  1.5, and a ground or k that is not an int; and of those that keep
+  the dump's length: a color written as that many x, a color moved
+  after the space before it, two rows of one length swapped, and a
+  ground element replaced by another as wide.
 
 The corpus holds named systems, RANDOM_SYSTEMS grammar systems drawn
 from a generator seeded with SEED, squarefree q with 4194319 or
@@ -202,9 +205,25 @@ def coloring_mutants(text: str, rng: random.Random) -> list[str]:
         ["ground: a b", *head[1:], *rows],
         [head[0], "k: x", *rows],
     ]
-    for color in ("+1", "007", "-1", "x", "1.5"):
-        written = row.rpartition(" : ")[0] + " : " + color
+    subset, _, color = row.rpartition(" : ")
+    for written in (
+        *(f"{subset} : {c}" for c in ("+1", "007", "-1", "x", "1.5")),
+        f"{subset} : {'x' * len(color)}",
+        f"{subset} :{color} ",
+    ):
         bodies.append(head + rows[:at] + [written] + rows[at + 1 :])
+    alike = [r for r in range(len(rows)) if len(rows[r]) == len(row) and r != at]
+    if alike:
+        other = rng.choice(alike)
+        swapped = rows[:]
+        swapped[at], swapped[other] = rows[other], rows[at]
+        bodies.append(head + swapped)
+    ground = head[0].split()[1:]
+    if ground:
+        x = rng.choice(ground)
+        y = next(str(y) for y in range(int(x) - 9, int(x) + 10)
+                 if str(y) not in ground and len(str(y)) == len(x))
+        bodies.append([" ".join(["ground:"] + [y if e == x else e for e in ground]), *head[1:], *rows])
     return ["\n".join(body) + "\n" for body in bodies] + [text.replace("\n", "\r\n")]
 
 

@@ -9,11 +9,13 @@ finite scale), or a budget error.  The last two are never conflated.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
+from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import CapacityOverflowError, ResourceLimitError, SearchBudgetExceeded
@@ -54,11 +56,14 @@ class _Subsets:
     def index(self) -> dict:
         return {text: r for r, text in enumerate(self.texts())}
 
+    def header(self) -> str:
+        """The ground and k lines that dump_coloring writes first."""
+        return f"ground: {' '.join(map(str, self.ground))}\nk: {self.k}\n"
+
     def template(self) -> str:
         """The text dump_coloring writes, with %s in place of each color:
-        the ground and k lines, then "<subset text> : %s" per subset in
-        rank order."""
-        head = f"ground: {' '.join(map(str, self.ground))}\nk: {self.k}\n"
+        the header, then "<subset text> : %s" per subset in rank order."""
+        head = self.header()
         texts = self.texts()
         if "%" in head:  # every element of a row text also prints in head
             head = head.replace("%", "%%")
@@ -70,13 +75,24 @@ class _Subsets:
 
 class _KeptSubsets(_Subsets):
     """The views of a kept shape, each built once and shared by every
-    caller, which only reads them."""
+    caller, which only reads them; also its header, by which load_coloring
+    finds it, and the reader of its dump when every color is one digit.
+
+    A kept ground prints with no "%", so each %s of the template stands
+    for one character of such a dump: the r-th color sits at the r-th
+    %s's offset less r, and the dump is size characters shorter than the
+    template."""
 
     def __init__(self, ground: tuple, k: int, size: int):
         super().__init__(ground, k, size)
         self._frozensets = tuple(super().frozensets())
         self._index = {text: r for r, text in enumerate(super().texts())}
+        self._header = super().header()
         self._template = super().template()
+        self._digits_length = len(self._template) - size
+        gaps = map(len, self._template.split("%s")[:-1])
+        offsets = [at + r for r, at in enumerate(accumulate(gaps))]
+        self._digits = itemgetter(*offsets) if offsets else None
 
     def frozensets(self):
         return self._frozensets
@@ -87,11 +103,47 @@ class _KeptSubsets(_Subsets):
     def index(self) -> dict:
         return self._index
 
+    def header(self) -> str:
+        return self._header
+
     def template(self) -> str:
         return self._template
 
+    def read_digits(self, text: str) -> list | None:
+        """The table of text if it is this shape's dump and every color
+        is one digit, else None.  The colors are picked at their offsets
+        and must be ASCII digits with template % colors == text: the
+        proof _read_dump gives, so the table is the line reader's."""
+        if self._digits is None or len(text) != self._digits_length:
+            return None
+        colors = self._digits(text)  # one character, or a tuple of them
+        digits = "".join(colors)
+        if digits.strip("0123456789") or self._template % colors != text:
+            return None
+        return list(digits.encode().translate(_DIGIT_VALUES))
 
-_kept_subsets = lru_cache(maxsize=_KEPT_SHAPES)(_KeptSubsets)
+
+# the kept shapes in the order they were last used, the least recent
+# first, by their header; and the same shapes by (ground, k)
+_kept_by_header: OrderedDict = OrderedDict()
+_kept_by_shape: dict = {}
+
+
+def _kept(ground: tuple, k: int, size: int) -> _KeptSubsets:
+    """The kept shape of ground and k, built if it is not kept, as the
+    most recently used; a shape built past _KEPT_SHAPES drops the least
+    recently used one by both its keys."""
+    kept = _kept_by_shape.get((ground, k))
+    if kept is not None:
+        _kept_by_header.move_to_end(kept.header())
+        return kept
+    kept = _KeptSubsets(ground, k, size)
+    if len(_kept_by_header) >= _KEPT_SHAPES:
+        _, dropped = _kept_by_header.popitem(last=False)
+        del _kept_by_shape[dropped.ground, dropped.k]
+    _kept_by_header[kept.header()] = kept
+    _kept_by_shape[ground, k] = kept
+    return kept
 
 
 def _shape(ground, k: int) -> _Subsets:
@@ -100,17 +152,29 @@ def _shape(ground, k: int) -> _Subsets:
     Raises ValueError for k < 0 and ResourceLimitError for a table above
     TABLE_CAP, before any view is built.
 
-    The views of the last _KEPT_SHAPES small shapes are kept and shared.
-    A shape is small when it has at most _KEPT_SUBSETS k-subsets, twice
-    as many elements in all, and a ground of plain ints within 64 bits.
-    Equal plain ints print alike, so equal grounds of them may share
-    texts; a ground with any other element (1.0, True, ...) is never
-    kept, since it may equal a kept ground and print otherwise.  A kept
-    shape takes under 0.5 MiB with its key and its dump template (the
-    worst case is 2^10 singletons of 20-character ints, about 0.44 MB),
-    so the cache holds under 8 MiB whatever shapes go through it.  Any
-    other shape gets views built for the call, and keeps nothing.
+    The views of the last _KEPT_SHAPES small shapes are kept and shared;
+    using a kept shape, here or through load_coloring, counts as its
+    last use.  A shape is small when it has at most _KEPT_SUBSETS
+    k-subsets, twice as many elements in all, an int k and a ground of
+    plain ints within 64 bits.  Equal plain ints print alike, so equal
+    grounds of them may share texts; a ground with any other element
+    (1.0, True, ...) is never kept, since it may equal a kept ground and
+    print otherwise.  A tuple ground equal to a kept one is handed that
+    shape at once, with no sort, when it is the kept tuple itself (the
+    ground of a Coloring of that shape) or holds only plain ints.  A kept shape
+    takes under 0.5 MiB with its keys, its dump template and the offsets
+    of its colors (the worst case is 2^10 singletons of 20-character
+    ints, about 0.50 MB), so the cache holds under 8 MiB whatever shapes
+    go through it.  Any other shape gets views built for the call, and
+    keeps nothing.
     """
+    if type(ground) is tuple and type(k) is int:
+        kept = _kept_by_shape.get((ground, k))
+        if kept is not None and (
+            kept.ground is ground or set(map(type, ground)) <= {int}
+        ):
+            _kept_by_header.move_to_end(kept.header())
+            return kept
     ground = tuple(sorted(set(ground)))
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -123,10 +187,11 @@ def _shape(ground, k: int) -> _Subsets:
     if (
         size <= _KEPT_SUBSETS
         and size * k <= 2 * _KEPT_SUBSETS
+        and type(k) is int
         and set(map(type, ground)) <= {int}
         and (not ground or -(1 << 63) <= ground[0] and ground[-1] < 1 << 63)
     ):
-        return _kept_subsets(ground, k, size)
+        return _kept(ground, k, size)
     return _Subsets(ground, k, size)
 
 
@@ -148,6 +213,14 @@ def _rank_weights(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 def _rank(weights, positions) -> int:
     return sum(w[c] for w, c in zip(weights, positions))
+
+
+def _max_color(table: list) -> int:
+    """The largest color of table, 0 for none; raises ValueError for a
+    negative color."""
+    if table and min(table) < 0:
+        raise ValueError("color indices must be >= 0")
+    return max(table, default=0)
 
 
 def _require_total(k: int, missing: int, extraneous: int) -> None:
@@ -183,25 +256,24 @@ class Coloring:
         if table is None or len(colors) != subsets.size:
             missing = sum(s not in colors for s in subsets.frozensets())
             _require_total(k, missing, len(colors) - (subsets.size - missing))
-        self._fill(subsets.ground, k, table)
+        self._fill(subsets.ground, k, table, _max_color(table))
 
     @classmethod
-    def _from_table(cls, ground: tuple[int, ...], k: int, table: list) -> Coloring:
+    def _from_table(
+        cls, ground: tuple[int, ...], k: int, table: list, max_color: int
+    ) -> Coloring:
         """A coloring of a ground shaped by _shape, whose table lists a
-        color for every k-subset in rank order."""
+        color >= 0 for every k-subset in rank order, none above
+        max_color."""
         self = cls.__new__(cls)
-        self._fill(ground, k, table)
+        self._fill(ground, k, table, max_color)
         return self
 
-    def _fill(self, ground: tuple[int, ...], k: int, table: list) -> None:
-        """Set every field from a shaped ground and a rank-order table;
-        raises ValueError for a negative color."""
-        if table and min(table) < 0:
-            raise ValueError("color indices must be >= 0")
+    def _fill(self, ground: tuple[int, ...], k: int, table: list, max_color: int):
         self.ground = ground
         self.k = k
         self.table = table
-        self.max_color = max(table, default=0)
+        self.max_color = max_color
 
     @property
     def colors(self) -> Mapping[frozenset, int]:
@@ -243,13 +315,14 @@ class HomogeneousChain:
 
 def constant_coloring(ground, k: int, color: int = 0) -> Coloring:
     subsets = _shape(ground, k)
-    return Coloring._from_table(subsets.ground, k, [color] * subsets.size)
+    table = [color] * subsets.size
+    return Coloring._from_table(subsets.ground, k, table, _max_color(table))
 
 
 def random_coloring(ground, k: int, num_colors: int, rng) -> Coloring:
     subsets = _shape(ground, k)
     table = [rng.randrange(num_colors) for _ in range(subsets.size)]
-    return Coloring._from_table(subsets.ground, k, table)
+    return Coloring._from_table(subsets.ground, k, table, _max_color(table))
 
 
 def homogeneous_color(coloring: Coloring, subset) -> int | None:
@@ -508,10 +581,9 @@ def product_coloring(colorings) -> Coloring:
     combined = list(first.table)
     for c, r in zip(colorings[1:], radices[1:]):
         combined = [idx * r + col for idx, col in zip(combined, c.table)]
-    out = Coloring._from_table(first.ground, first.k, combined)
-    # a factor may never use its top index on this ground; keep the full radix
-    out.max_color = capacity - 1
-    return out
+    # every factor color is >= 0; a factor may never use its top index on
+    # this ground, so the full radix is kept
+    return Coloring._from_table(first.ground, first.k, combined, capacity - 1)
 
 
 def decode_product_index(index: int, radices) -> tuple[int, ...]:
@@ -563,28 +635,40 @@ def load_coloring(text: str) -> Coloring:
     text before its last colon is "ground" or "k" is a header, given
     once; any other line with a colon is a row.  Totality is validated.
 
-    A text in dump_coloring's layout is read whole by _read_dump; any
-    other text, and every error, goes to the line reader (_read_lines),
-    handed the shape read from the two header lines.
+    A text whose first two lines are the header of a kept shape is read
+    as that shape, with no header value parsed: at its colors' offsets if
+    it is as long as the shape's dump with one-digit colors.  Otherwise
+    the shape comes from the two header values.  A text in
+    dump_coloring's layout is read whole by _read_dump; any other text,
+    and every error, goes to the line reader (_read_lines), handed the
+    shape and the header values it came from.
     """
     i = text.find("\n")
     j = text.find("\n", i + 1)
-    shaped = None
-    if text.startswith("ground: ") and text.startswith("k: ", i + 1) and j > 0:
-        # each header's value as the line reader takes it, unless that
-        # line has a later colon, a "#" or another line break;
-        # _read_lines checks which
+    subsets = _kept_by_header.get(text[: j + 1])
+    if subsets is not None:
+        _kept_by_header.move_to_end(subsets.header())
+        table = subsets.read_digits(text)
+        if table is not None:
+            return Coloring._from_table(subsets.ground, subsets.k, table, max(table))
+        # each header's value as the line reader takes it
+        ground, k = text[7:i], text[i + 3 : j]
+    elif text.startswith("ground: ") and text.startswith("k: ", i + 1) and j > 0:
+        # likewise, unless that line has a later colon, a "#" or another
+        # line break; _read_lines checks which
         ground, k = text[7:i].removesuffix("\r"), text[i + 3 : j].removesuffix("\r")
         try:
             subsets = _shape(list(map(int, ground.split())), int(k))
         except (ValueError, ResourceLimitError):
-            pass  # the line reader raises it, after any earlier error
-        else:
-            table = _read_dump(text, j + 1, subsets)
-            if table is not None:
-                return Coloring._from_table(subsets.ground, subsets.k, table)
-            shaped = (ground, k, subsets)
-    return _read_lines(text, shaped)
+            # the line reader raises it, after any earlier error
+            return _read_lines(text, None)
+    else:
+        return _read_lines(text, None)
+    table = _read_dump(text, j + 1, subsets)
+    if table is not None:
+        top = max(table, default=0)
+        return Coloring._from_table(subsets.ground, subsets.k, table, top)
+    return _read_lines(text, (ground, k, subsets))
 
 
 def _read_dump(text: str, start: int, subsets: _Subsets) -> list | None:
@@ -598,7 +682,7 @@ def _read_dump(text: str, start: int, subsets: _Subsets) -> list | None:
     exact header lines and then "texts[r] : c_r" for each rank r, one to
     a line, with no "#" and no line break but "\n".  So the line reader
     would find the same headers, find each row's text in the index at
-    rank r and read int(" " + c_r) == int(c_r): the same table.  The
+    rank r and read int(" " + c_r) == int(c_r) >= 0: the same table.  The
     cheap checks come first: a text with a line missing or added, with
     its first row written otherwise or its last line not ending in a
     digit and "\n" stops before it is split, and one with a malformed
@@ -695,7 +779,7 @@ def _read_lines(text: str, shaped: tuple | None) -> Coloring:
         if r is not None:
             table[r] = color
     _require_total(subsets.k, table.count(None), len(extraneous))
-    return Coloring._from_table(subsets.ground, subsets.k, table)
+    return Coloring._from_table(subsets.ground, subsets.k, table, _max_color(table))
 
 
 def _bad_line(text: str, key: str, value: str) -> ValueError:

@@ -2,6 +2,8 @@ import gc
 import random
 import time
 import tracemalloc
+import weakref
+from collections import OrderedDict
 from itertools import combinations, product
 from math import comb
 from pathlib import Path
@@ -564,6 +566,32 @@ def _read(load, text):
     return c.ground, c.k, c.table
 
 
+def _same_length_mutants(head, rows, ground):
+    """The bodies that keep the length of the dump head + rows but change
+    a color, a row's order or spacing, or a ground element."""
+    bodies = {}
+    if rows:
+        text, _, color = rows[0].rpartition(" : ")
+        bodies["letters"] = head + [f"{text} : {'x' * len(color)}"] + rows[1:]
+        # "a b : 5" read as "a b :5 "
+        bodies["digit-before-space"] = head + [f"{text} :{color} "] + rows[1:]
+    at = {}
+    for r, row in enumerate(rows):
+        at.setdefault(len(row), []).append(r)
+    pair = next((rs for rs in at.values() if len(rs) > 1), None)
+    if pair:
+        swapped = rows[:]
+        swapped[pair[0]], swapped[pair[-1]] = rows[pair[-1]], rows[pair[0]]
+        bodies["rows-swapped"] = head + swapped
+    if ground:
+        x = ground[-1]
+        y = next(y for y in (x + 1, x - 1, x + 2, x - 2)
+                 if y not in ground and len(str(y)) == len(str(x)))
+        elements = [str(y) if e == x else str(e) for e in ground]
+        bodies["other-element"] = ["ground: " + " ".join(elements), head[1]] + rows
+    return bodies
+
+
 def _mutants(text, ground):
     """text and the texts that change its layout, its rows or its colors."""
     head, rows = text.splitlines()[:2], text.splitlines()[2:]
@@ -589,6 +617,7 @@ def _mutants(text, ground):
         if rows
         else head,
         "repeated-header": head + rows + head[1:],
+        **_same_length_mutants(head, rows, ground),
     }
     texts = {name: "\n".join(body) + "\n" for name, body in lines.items()}
     texts["crlf"] = text.replace("\n", "\r\n")
@@ -613,7 +642,12 @@ def test_load_answers_as_the_line_reader_does(build):
     coloring = build()
     text = dump_coloring(coloring)
     assert _read(load_coloring, text) == (coloring.ground, coloring.k, coloring.table)
-    for name, mutant in _mutants(text, coloring.ground).items():
+    mutants = _mutants(text, coloring.ground)
+    for name in ("letters", "digit-before-space", "rows-swapped", "other-element"):
+        assert len(mutants.get(name, text)) == len(text), name
+    for name, mutant in mutants.items():
+        # the line reader alone keeps the shape it reads, so a mutant
+        # naming another kept shape is then loaded by its header
         alone = _read(lambda t: ramsey._read_lines(t, None), mutant)
         assert _read(load_coloring, mutant) == alone, name
 
@@ -650,6 +684,12 @@ EQUAL_GROUNDS = [
 
 @pytest.mark.parametrize("step", [1, -1], ids=["forward", "reversed"])
 def test_equal_grounds_that_print_otherwise_dump_as_written(step):
+    # the int grounds' shapes kept first, by (ground, k) and by header
+    for ground, _, _ in EQUAL_GROUNDS:
+        if {type(x) for x in ground} == {int}:
+            for k in (1, 2):
+                coloring = constant_coloring(ground, k)
+                assert load_coloring(dump_coloring(coloring)) == coloring
     for ground, a, b in EQUAL_GROUNDS[::step]:
         singles = {frozenset({ground[0]}): 0, frozenset({ground[1]}): 1}
         coloring = Coloring(ground, 1, singles)
@@ -666,6 +706,47 @@ def test_loaded_colorings_share_no_table():
     assert dump_coloring(first) != text
     assert second.table == load_coloring(text).table
     assert dump_coloring(second) == text
+
+
+@pytest.mark.parametrize("reuse", ["load", "dump", "build"])
+def test_the_kept_shapes_are_the_last_ones_used(reuse, monkeypatch):
+    # 100 shapes go through a dump/load round trip, and one more is used
+    # between every two of them: by its header, as a Coloring's own
+    # ground, or as an equal tuple of ints
+    built = []
+
+    class Counted(ramsey._KeptSubsets):
+        def __init__(self, ground, k, size):
+            super().__init__(ground, k, size)
+            built.append((ground, weakref.ref(self)))
+
+    monkeypatch.setattr(ramsey, "_KeptSubsets", Counted)
+    monkeypatch.setattr(ramsey, "_kept_by_header", OrderedDict())
+    monkeypatch.setattr(ramsey, "_kept_by_shape", {})
+    reused = constant_coloring((7001, 7002, 7003), 2, color=1)
+    text, colors = dump_coloring(reused), reused.colors
+    use = {
+        "load": lambda: load_coloring(text),
+        "dump": lambda: dump_coloring(reused),
+        "build": lambda: Coloring((7001, 7002, 7003), 2, colors),
+    }[reuse]
+    dumps = []
+    for i in range(100):
+        coloring = random_coloring(range(8000 + 10 * i, 8006 + 10 * i), 2, 3, random.Random(i))
+        dumps.append(dump_coloring(coloring))
+        assert load_coloring(dumps[-1]) == coloring
+        use()
+    grounds = [ground for ground, _ in built]
+    assert len(grounds) == 101 and grounds.count(reused.ground) == 1
+    # a shape stays alive while either key holds it
+    gc.collect()
+    live = {ref().ground[0] for _, ref in built if ref() is not None}
+    assert live == {7001} | {8000 + 10 * i for i in range(85, 100)}
+    assert len(live) == ramsey._KEPT_SHAPES
+    # a dropped shape is built again, by its header or by (ground, k)
+    load_coloring(dumps[0])
+    constant_coloring(range(8010, 8016), 2)
+    assert len(built) == 103
 
 
 def test_kept_subset_tables_stay_under_their_bound():
