@@ -8,6 +8,7 @@ finite scale), or a budget error.  The last two are never conflated.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
 from collections import OrderedDict
 from collections.abc import Mapping
@@ -124,9 +125,21 @@ class _KeptSubsets(_Subsets):
 
 
 # the kept shapes in the order they were last used, the least recent
-# first, by their header; and the same shapes by (ground, k)
+# first, by their header; the same shapes by (ground, k); and the lock
+# that a change of more than one step to the two takes, so that threads
+# may share them (a lookup, and a move to the end, is one step)
 _kept_by_header: OrderedDict = OrderedDict()
 _kept_by_shape: dict = {}
+_kept_lock = threading.Lock()
+
+
+def _use(kept: _KeptSubsets) -> _KeptSubsets:
+    """kept, found by either key, marked as the most recently used."""
+    try:
+        _kept_by_header.move_to_end(kept.header())
+    except KeyError:  # another thread has dropped it since
+        pass
+    return kept
 
 
 def _kept(ground: tuple, k: int, size: int) -> _KeptSubsets:
@@ -135,14 +148,14 @@ def _kept(ground: tuple, k: int, size: int) -> _KeptSubsets:
     recently used one by both its keys."""
     kept = _kept_by_shape.get((ground, k))
     if kept is not None:
-        _kept_by_header.move_to_end(kept.header())
-        return kept
+        return _use(kept)
     kept = _KeptSubsets(ground, k, size)
-    if len(_kept_by_header) >= _KEPT_SHAPES:
-        _, dropped = _kept_by_header.popitem(last=False)
-        del _kept_by_shape[dropped.ground, dropped.k]
-    _kept_by_header[kept.header()] = kept
-    _kept_by_shape[ground, k] = kept
+    with _kept_lock:
+        if len(_kept_by_header) >= _KEPT_SHAPES:
+            _, dropped = _kept_by_header.popitem(last=False)
+            del _kept_by_shape[dropped.ground, dropped.k]
+        _kept_by_header[kept.header()] = kept
+        _kept_by_shape[ground, k] = kept
     return kept
 
 
@@ -161,20 +174,19 @@ def _shape(ground, k: int) -> _Subsets:
     (1.0, True, ...) is never kept, since it may equal a kept ground and
     print otherwise.  A tuple ground equal to a kept one is handed that
     shape at once, with no sort, when it is the kept tuple itself (the
-    ground of a Coloring of that shape) or holds only plain ints.  A kept shape
-    takes under 0.5 MiB with its keys, its dump template and the offsets
-    of its colors (the worst case is 2^10 singletons of 20-character
-    ints, about 0.50 MB), so the cache holds under 8 MiB whatever shapes
-    go through it.  Any other shape gets views built for the call, and
-    keeps nothing.
+    ground of a Coloring of that shape) or holds only plain ints.  A
+    kept shape takes under 0.5 MiB with its keys, its dump template and
+    the offsets of its colors (the worst case is 2^10 singletons of
+    20-character ints, about 0.50 MB), so the cache holds under 8 MiB
+    whatever shapes go through it.  Any other shape gets views built for
+    the call, and keeps nothing.
     """
     if type(ground) is tuple and type(k) is int:
         kept = _kept_by_shape.get((ground, k))
         if kept is not None and (
             kept.ground is ground or set(map(type, ground)) <= {int}
         ):
-            _kept_by_header.move_to_end(kept.header())
-            return kept
+            return _use(kept)
     ground = tuple(sorted(set(ground)))
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -647,7 +659,7 @@ def load_coloring(text: str) -> Coloring:
     j = text.find("\n", i + 1)
     subsets = _kept_by_header.get(text[: j + 1])
     if subsets is not None:
-        _kept_by_header.move_to_end(subsets.header())
+        _use(subsets)
         table = subsets.read_digits(text)
         if table is not None:
             return Coloring._from_table(subsets.ground, subsets.k, table, max(table))

@@ -1,5 +1,7 @@
 import gc
 import random
+import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -747,6 +749,49 @@ def test_the_kept_shapes_are_the_last_ones_used(reuse, monkeypatch):
     load_coloring(dumps[0])
     constant_coloring(range(8010, 8016), 2)
     assert len(built) == 103
+
+
+def test_threads_share_the_kept_shapes(monkeypatch):
+    # one shape more than are kept, so that threads drop and build shapes
+    # while others use them; the two keys must end up holding the same ones
+    monkeypatch.setattr(ramsey, "_KEPT_SHAPES", 2)
+    monkeypatch.setattr(ramsey, "_kept_by_header", OrderedDict())
+    monkeypatch.setattr(ramsey, "_kept_by_shape", {})
+    colorings = [
+        random_coloring(range(9000 + 10 * i, 9005 + 10 * i), 2, 3, random.Random(i))
+        for i in range(ramsey._KEPT_SHAPES + 1)
+    ]
+    texts = [dump_coloring(c) for c in colorings]
+    errors = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(8000):
+                i = rng.randrange(len(colorings))
+                assert load_coloring(texts[i]) == colorings[i]
+                assert dump_coloring(colorings[i]) == texts[i]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    kept = list(ramsey._kept_by_header.values())
+    assert 0 < len(kept) <= ramsey._KEPT_SHAPES
+    assert len(ramsey._kept_by_shape) == len(kept)
+    for shape in kept:
+        assert ramsey._kept_by_header[shape.header()] is shape
+        assert ramsey._kept_by_shape[shape.ground, shape.k] is shape
 
 
 def test_kept_subset_tables_stay_under_their_bound():
