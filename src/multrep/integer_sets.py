@@ -391,7 +391,7 @@ class SetDescription:
     of n is decided by the prime powers exactly dividing n.  A set whose
     parameters reach beyond 64-bit range counts as not multiplicative,
     which costs speed, never exactness.  The rule is stated here once: a
-    multiplicative kind that keeps contains defines prime_power_flags.
+    multiplicative kind defines prime_power_flags.
 
     divisor_flags decides every divisor of a factored n in one call, by
     kind: the kinds here build no factorization per divisor, and a kind
@@ -513,6 +513,9 @@ class Singleton(SetDescription):
     def contains(self, n: int) -> bool:
         return n in self.values
 
+    def prime_power_flags(self, p: int, e: int) -> list[bool]:
+        return [p**a in self.values for a in range(e + 1)]
+
     def divisor_flags(self, factors: dict[int, int], where: Sequence | None = None) -> list:
         indices = [_divisor_index(factors, v) for v in self.values]
         return _marked(_steps(factors)[-1], [x for x in indices if x is not None], where)
@@ -553,6 +556,17 @@ class PowersOf(SetDescription):
         if n != 1:
             return False
         return e >= self.lo and (self.hi is None or e <= self.hi)
+
+    def prime_power_flags(self, p: int, e: int) -> list[bool]:
+        # p^a, a >= 1, is a power of the base only when the base is p^k
+        # and k divides a
+        b, k = self.base, 0
+        while b % p == 0:
+            b, k = b // p, k + 1
+        if b != 1:
+            return [self.lo == 0] + [False] * e
+        hi = e if self.hi is None else self.hi
+        return [a % k == 0 and self.lo <= a // k <= hi for a in range(e + 1)]
 
     def divisor_flags(self, factors: dict[int, int], where: Sequence | None = None) -> list:
         # base^k for k up to the last that divides n, never base^lo itself
@@ -695,6 +709,18 @@ class Intersection(SetDescription):
 
     def contains_factored(self, n: int, factors: dict[int, int]) -> bool:
         return all(part.contains_factored(n, factors) for part in self.parts)
+
+    def prime_power_flags(self, p: int, e: int) -> list[bool]:
+        if not self.multiplicative:
+            return super().prime_power_flags(p, e)
+        # every part holds 1, and a part is asked about p only while the
+        # parts before it hold some p^a, a >= 1, as contains would ask it
+        row = [True] * (e + 1)
+        for part in self.parts:
+            if not any(row[1:]):
+                break
+            row = [ok and more for ok, more in zip(row, part.prime_power_flags(p, e))]
+        return row
 
     def divisor_flags(self, factors: dict[int, int], where: Sequence | None = None) -> list:
         if where is None and self.multiplicative:

@@ -30,8 +30,9 @@ multiplicative convolves F over [1, hi], unless that costs more than the
 per-n counts every other sequence takes.  Counted per n, an n below
 SIEVE_LIMIT of a system whose parts are all multiplicative reads g = G
 by the recurrence G(k) = c(p, e) G(k / p^e), p the smallest prime
-factor of k; every other n is counted by count_system_reps.  A window's
-exact min/max is evidence, never a limit.
+factor of k, where c(p, 1) is the number of multiplicative parts that
+hold p (each holds 1); every other n is counted by count_system_reps.  A
+window's exact min/max is evidence, never a limit.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
 from heapq import merge
-from itertools import compress, islice, tee
+from itertools import compress, islice, repeat, tee
 from math import log
 
 from .errors import ResourceLimitError
@@ -234,7 +235,8 @@ def _lex_tuples(table: _Lattice, n: int, cap: int):
     """The first cap tuples in lexicographic order: a depth-first walk
     that tries each level's divisors in ascending order and enters a
     branch only when its suffix count is non-zero, so every branch entered
-    yields a tuple.
+    yields a tuple.  The walk keeps one iterator of branches per level on
+    an explicit stack, so it takes any number of parts without recursion.
 
     A level above the tail tries the sorted divisors of n against flags
     and cnt, reading the suffix count before membership, which a part
@@ -244,10 +246,22 @@ def _lex_tuples(table: _Lattice, n: int, cap: int):
     and a non-zero digit b - a in the suffix row of level i + 1, so no
     tail level is built over the divisors of n."""
     h, t, chains = table.h, table.t, table.chains
-    found: list[tuple[int, ...]] = []
+    if t:
+        flags, cnt, values = table._flags, table._cnt, table._values
+        ordered = sorted(zip(values, range(len(values))))
 
-    def tail(i: int, m: int, prefix: tuple[int, ...]) -> None:
-        # i < h - 1: the level below lists the last part's m // v itself
+    def level(i: int, m: int, x: int):
+        # the (v, the index of m // v) that level i < h - 1 enters at the
+        # cofactor m of index x, v ascending; indices are read only above
+        # the tail, and a tail level gives 0
+        if i < t:
+            # (m, x) is in ordered, so the bisection ends after it
+            below, holds = cnt[i + 1], flags[i]
+            return (
+                (v, x - d)
+                for v, d in islice(ordered, bisect_right(ordered, (m, x)))
+                if m % v == 0 and below[x - d] and holds[d]
+            )
         rows = []
         for p, (_, allowed, width, suffixes) in zip(table.factors, chains):
             b, q = 0, m
@@ -255,36 +269,27 @@ def _lex_tuples(table: _Lattice, n: int, cap: int):
                 q, b = q // p, b + 1
             holds, below = allowed[i - t], suffixes[i + 1 - t]
             rows.append([p**a for a in range(b + 1) if holds[a] and _digit(below, b - a, width)])
-        for v in _products(rows):
-            if i + 2 == h:  # the last part holds m // v
-                found.append(prefix + (v, m // v))
+        return zip(_products(rows), repeat(0))
+
+    found: list[tuple[int, ...]] = []
+    top = len(values) - 1 if t else 0
+    # per level entered: its branches, its cofactor, and the parts chosen
+    # above it
+    stack = [(level(0, n, top), n, ())]
+    while stack:
+        branches, m, prefix = stack[-1]
+        if len(stack) < h - 1:
+            for v, y in branches:  # enter the next branch
+                stack.append((level(len(stack), m // v, y), m // v, prefix + (v,)))
+                break
             else:
-                tail(i + 1, m // v, prefix + (v,))
-            if len(found) == cap:
-                return
-
-    if t == 0:
-        tail(0, n, ())
-        return tuple(found)
-    flags, cnt, values = table._flags, table._cnt, table._values
-    ordered = sorted(zip(values, range(len(values))))
-
-    def walk(i: int, m: int, x: int, prefix: tuple[int, ...]) -> None:
-        if i == h - 1:
-            found.append(prefix + (m,))
-            return
-        if i == t:
-            tail(i, m, prefix)
-            return
-        for v, d in ordered:
-            if v > m:
-                return
-            if m % v == 0 and cnt[i + 1][x - d] and flags[i][d]:
-                walk(i + 1, m // v, x - d, prefix + (v,))
+                stack.pop()
+        else:  # level h - 2: the last part holds m // v
+            for v, _ in branches:
+                found.append(prefix + (v, m // v))
                 if len(found) == cap:
-                    return
-
-    walk(0, n, len(values) - 1, ())
+                    return tuple(found)
+            stack.pop()
     return tuple(found)
 
 
@@ -350,7 +355,10 @@ def _counts(system: MultiplicativeSystem, ns):
     that are not multiplicative with product m; G counts those of the
     multiplicative parts, as the tail of _Lattice does, and is
     multiplicative: G(k) = c(p, e) G(k / p^e) for each p^e exactly
-    dividing k, with c(p, e) kept for the call.
+    dividing k, with c(p, e) kept for the call.  Every multiplicative
+    part holds 1, so p^1 goes to exactly one part: c(p, 1) is the number
+    of parts whose prime_power_flags hold p, the count the cover side's
+    held keeps per element, and only an e >= 2 builds a _prime_chain.
 
     On a window (a non-empty range of step 1 from n >= 1, ending at or
     below SIEVE_LIMIT) of a system with a part that is not
@@ -383,8 +391,12 @@ def _counts(system: MultiplicativeSystem, ns):
     def c(p: int, e: int) -> int:
         d = digits.get((p, e))
         if d is None:
-            _, width, suffixes = _prime_chain(mult, p, e)
-            d = digits[p, e] = _digit(suffixes[0], e, width)
+            if e == 1:  # every part holds 1, so p goes to one part holding it
+                d = sum(part.prime_power_flags(p, 1)[1] for part in mult)
+            else:
+                _, width, suffixes = _prime_chain(mult, p, e)
+                d = _digit(suffixes[0], e, width)
+            digits[p, e] = d
         return d
 
     spf = ()

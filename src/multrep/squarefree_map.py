@@ -88,7 +88,9 @@ def factorizations_as_partitions(
     gives exactly the ordered factorizations of q into coprime
     squarefree factors.  The tuples share the 2^omega(q) blocks, the
     subsets of phi(q), each built once and indexed by mask: bit i picks
-    the i-th smallest prime.  ValueError for h < 2 or a negative cap.
+    the i-th smallest prime.  The cap counts the blocks written, h in
+    each of the h^omega(q) tuples: past it, ResourceLimitError is raised
+    before any column is built.  ValueError for h < 2 or a negative cap.
     """
     if h < 2:
         raise ValueError("h must be >= 2")
@@ -96,9 +98,9 @@ def factorizations_as_partitions(
         raise ValueError("cap must be >= 0")
     s = phi(q)
     total = h ** len(s)
-    if total > cap:
+    if h * total > cap:
         raise ResourceLimitError(
-            f"{total} partitions exceed the output cap {cap}"
+            f"{h * total} blocks in {total} partitions exceed the output cap {cap}"
         )
     # one column of masks per slot, row t holding the t-th word; putting
     # prime i in front of the words repeats each column h times, with

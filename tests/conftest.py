@@ -1,4 +1,13 @@
-"""Shared brute-force oracles, kept independent of the library internals."""
+"""Shared brute-force oracles, independent of the library's counting code.
+
+They share two things with the library.  The counting oracles decide
+each part through membership, which calls the kind's own contains: the
+counting engine asks divisor_flags and prime_power_flags instead, so the
+oracles still check those against an independent route.  The cover
+oracle asks each family's contains_block.  pentagon_coloring builds a
+Coloring, the fixture of the Ramsey tests, not an oracle; the
+homogeneous-set oracle reads a plain {frozenset: color} dict.
+"""
 
 from itertools import combinations, product
 

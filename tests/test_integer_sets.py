@@ -400,6 +400,51 @@ def test_multiplicative_kinds(d, multiplicative):
                     assert membership(d, a * b) == both
 
 
+M61 = 2**61 - 1
+
+
+@pytest.mark.parametrize(
+    "d, extra",
+    [
+        (AllNaturals(), ()),
+        (Primes(), ()),
+        (PrimesWithOne(), ()),
+        (Squarefree(), ()),
+        (Singleton((1,)), ()),
+        (Singleton((0, 1, 8, 9, 27)), ()),
+        (Singleton((2, 4, 125)), ()),
+        # values beyond 64-bit range, one of them a power of a prime asked
+        (Singleton((1, 3**41, 2**64 + 1)), ()),
+        (PowersOf(2), ()),
+        (PowersOf(3, 2), ()),
+        (PowersOf(5, 1, 3), ()),
+        (PowersOf(4), ()),  # a composite base: 2^a holds for even a
+        (PowersOf(8, 1, 1), ()),
+        (PowersOf(9, 0, 2), ()),
+        (PowersOf(6, 0), ()),
+        (PowersOf(12, 1), ()),
+        (PowersOf(M61, 0), (M61,)),
+        (PowersOf(M61, 1, 2), (M61,)),
+        (PowersOf(2**89 - 1, 0), (2**89 - 1,)),
+        (SmoothOver(IndexResidue(2, 1)), ()),
+        (SmoothOver(ExplicitList((3, 5))), ()),
+        (SmoothOver(Complement(ExplicitList((3,)), (2, 3, 5))), ()),
+        (Union((PowersOf(3, 0, 2), Primes())), ()),
+        (Intersection((Squarefree(), PowersOf(2, 0))), ()),
+        (Intersection((SmoothOver(ExplicitList((2, 3))), PowersOf(4, 0), Singleton((1, 3, 16)))), ()),
+        (Intersection((PowersOf(3, 1, 4), Squarefree())), ()),
+        (Intersection((Squarefree(), Primes())), ()),
+    ],
+)
+def test_prime_power_flags_equal_contains_per_power(d, extra):
+    # the primes asked include each base that is prime, where PowersOf
+    # reads its exponent range, and p^6 of the others stays below 2^63
+    for p in (2, 3, 5, 7, 13, 997) + extra:
+        for e in range(7):
+            assert d.prime_power_flags(p, e) == [d.contains(p**a) for a in range(e + 1)]
+
+
+
 def test_sieve_matches_plain_sieve(monkeypatch):
     monkeypatch.setattr(integer_sets, "_spf", array("I"))
     monkeypatch.setattr(integer_sets, "_primes", [])

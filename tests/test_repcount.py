@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import sys
 import time
 import tracemalloc
 
@@ -551,6 +552,61 @@ def test_window_counts_at_the_sieve_edge_match_per_n_counts(system, lo, hi):
     # the first window ends on the last n the sieve serves, the second
     # runs past it and so leaves the window path
     assert window_outcomes(system, lo, hi) == per_n_outcomes(system, lo, hi)
+
+
+MULTIPLICATIVE_KINDS = [
+    AllNaturals(),
+    Squarefree(),
+    SmoothOver(IndexResidue(3, 1)),
+    SmoothOver(ExplicitList((2, 5, 7))),
+    Singleton((1,)),
+    Singleton((1, 3, 9, 81)),
+    PowersOf(2, 0),
+    PowersOf(3, 0, 2),
+    Intersection((Squarefree(), SmoothOver(Complement(ExplicitList((3,)), (2, 3, 5, 7))))),
+    Intersection((PowersOf(2, 0, 5), SmoothOver(IndexResidue(2, 1)))),
+]
+
+
+@pytest.mark.parametrize("kind", MULTIPLICATIVE_KINDS, ids=repr)
+def test_windows_of_each_multiplicative_kind_match_per_n_counts(kind):
+    # all multiplicative, counted by the recurrence over c(p, e); and
+    # with a part that is not, by the convolution F * G
+    assert kind.multiplicative
+    lo, hi = 9800, 10200
+    for parts in ((kind, kind), (kind, AllNaturals(), kind), (Primes(), kind, Squarefree())):
+        system = MultiplicativeSystem(parts)
+        assert window_outcomes(system, lo, hi) == per_n_outcomes(system, lo, hi)
+
+
+def test_a_window_builds_no_chain_for_a_prime_to_the_first_power(monkeypatch):
+    # c(p, 1) is the number of parts that hold p, as every part holds 1
+    exponents = []
+
+    def chain(parts, p, e):
+        exponents.append(e)
+        return prime_chain(parts, p, e)
+
+    prime_chain = repcount._prime_chain
+    system = build("fundamental", 3).system
+    per_n = [(n, count_system_reps(system, n, 0).count) for n in range(2, 5001)]
+    monkeypatch.setattr(repcount, "_prime_chain", chain)
+    assert window_stats(system, 2, 5000) == repcount.summarize_window(2, 5000, per_n)
+    assert exponents and min(exponents) >= 2
+
+
+def test_the_tuple_walk_takes_more_parts_than_the_recursion_limit():
+    h = sys.getrecursionlimit() + 200
+    # all tail: only part 1 holds 2
+    w = count_system_reps(build("fundamental", h).system, 1024)
+    assert (w.count, w.tuples, w.truncated) == (1, ((1, 1024) + (1,) * (h - 2),), False)
+    # no tail: 2 and 3 go to two distinct parts, placed last first
+    w = count_system_reps(basis_system(PrimesWithOne(), h), 6, tuple_cap=5)
+    ones = (1,) * (h - 3)
+    assert w.count == h * (h - 1)
+    assert w.tuples == (
+        ones + (1, 2, 3), ones + (1, 3, 2), ones + (2, 1, 3), ones + (2, 3, 1), ones + (3, 1, 2)
+    )
 
 
 def test_scan_counts_checks_its_range_at_the_call():

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import prod
 
 import pytest
@@ -134,6 +135,28 @@ def test_partitions_cap():
         factorizations_as_partitions(30, 2, cap=-1)
     with pytest.raises(ValueError, match="^h must be >= 2$"):
         factorizations_as_partitions(30, 1)
+
+
+def test_partitions_cap_counts_blocks():
+    # h blocks in each of the h^omega tuples: (30, 100) writes 10^8 blocks
+    # in 10^6 tuples, and is refused before any column is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ResourceLimitError,
+            match="^100000000 blocks in 1000000 partitions exceed the output cap 1000000$",
+        ):
+            factorizations_as_partitions(30, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert len(factorizations_as_partitions(30, 2, cap=16)) == 8
+    with pytest.raises(ResourceLimitError):
+        factorizations_as_partitions(30, 2, cap=15)
+    # the largest shapes the benchmark and the CLI pins write stay accepted
+    for k, h in ((10, 2), (8, 3), (10, 3)):
+        assert len(factorizations_as_partitions(prod(SMALL_PRIMES[:k]), h)) == h**k
 
 
 def test_omega_examples():
