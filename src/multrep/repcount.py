@@ -231,6 +231,19 @@ def _products(rows):
     return map(factor.__mul__, (1,) if stream is None else stream)
 
 
+def _above(ordered, m: int, x: int, below, holds):
+    """The (v, the index of m // v) for the divisors v of m, ascending,
+    where holds[index of v] and below[index of m // v] are non-zero;
+    ordered lists the (divisor, index) pairs of n by divisor, and x is
+    the index of m.  A generator function, not an expression, so that
+    its loop reads locals."""
+    for v, d in ordered:
+        if v > m:
+            return
+        if m % v == 0 and below[x - d] and holds[d]:
+            yield v, x - d
+
+
 def _lex_tuples(table: _Lattice, n: int, cap: int):
     """The first cap tuples in lexicographic order: a depth-first walk
     that tries each level's divisors in ascending order and enters a
@@ -255,13 +268,7 @@ def _lex_tuples(table: _Lattice, n: int, cap: int):
         # cofactor m of index x, v ascending; indices are read only above
         # the tail, and a tail level gives 0
         if i < t:
-            # (m, x) is in ordered, so the bisection ends after it
-            below, holds = cnt[i + 1], flags[i]
-            return (
-                (v, x - d)
-                for v, d in islice(ordered, bisect_right(ordered, (m, x)))
-                if m % v == 0 and below[x - d] and holds[d]
-            )
+            return _above(ordered, m, x, cnt[i + 1], flags[i])
         rows = []
         for p, (_, allowed, width, suffixes) in zip(table.factors, chains):
             b, q = 0, m
