@@ -278,24 +278,26 @@ def _lex_tuples(table: _Lattice, n: int, cap: int):
             rows.append([p**a for a in range(b + 1) if holds[a] and _digit(below, b - a, width)])
         return zip(_products(rows), repeat(0))
 
-    found: list[tuple[int, ...]] = []
     top = len(values) - 1 if t else 0
-    # per level entered: its branches, its cofactor, and the parts chosen
-    # above it
+    if h == 2:  # the last part holds n // v
+        return tuple(islice(((v, n // v) for v, _ in level(0, n, top)), cap))
+    found: list[tuple[int, ...]] = []
+    # per level entered above h - 2: its branches left, its cofactor and
+    # the parts chosen above it; level h - 2 is walked where it is entered
     stack = [(level(0, n, top), n, ())]
     while stack:
         branches, m, prefix = stack[-1]
-        if len(stack) < h - 1:
-            for v, y in branches:  # enter the next branch
-                stack.append((level(len(stack), m // v, y), m // v, prefix + (v,)))
-                break
+        for v, y in branches:
+            q = m // v
+            if len(stack) == h - 2:  # the last part holds q // w
+                for w, _ in level(h - 2, q, y):
+                    found.append(prefix + (v, w, q // w))
+                    if len(found) == cap:
+                        return tuple(found)
             else:
-                stack.pop()
-        else:  # level h - 2: the last part holds m // v
-            for v, _ in branches:
-                found.append(prefix + (v, m // v))
-                if len(found) == cap:
-                    return tuple(found)
+                stack.append((level(len(stack), q, y), q, prefix + (v,)))
+                break
+        else:
             stack.pop()
     return tuple(found)
 
