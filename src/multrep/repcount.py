@@ -249,7 +249,8 @@ def _lex_tuples(table: _Lattice, n: int, cap: int):
     that tries each level's divisors in ascending order and enters a
     branch only when its suffix count is non-zero, so every branch entered
     yields a tuple.  The walk keeps one iterator of branches per level on
-    an explicit stack, so it takes any number of parts without recursion.
+    an explicit stack, and walks level h - 2 inside its parent's loop, so
+    it takes any number of parts without recursion.
 
     A level above the tail tries the sorted divisors of n against flags
     and cnt, reading the suffix count before membership, which a part
