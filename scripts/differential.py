@@ -8,8 +8,9 @@ process under distinct package names, and each case is run in both:
 
 - count_system_reps with tuples listed to 1, to 5 and to the default
   cap (64), the records before an error kept;
-- _counts on ranges (windows and not) and on streams, below, across and
-  above SIEVE_LIMIT (2^20), the yielded prefix kept up to any error;
+- _counts on ranges (windows and not: one far from 1, one of a single
+  n) and on streams, below, across and above SIEVE_LIMIT (2^20), the
+  yielded prefix kept up to any error;
 - count_ordered_covers of image families whose universe holds S, leaves
   elements out or adds primes, and of cardinality and explicit families;
 - verify_correspondence;
@@ -95,6 +96,8 @@ SEQUENCES = (
     ("stream", 2, 3, 2 * 3 * 5 * BIG[0], 7),
     ("stream", 10, 3 * BIG[1], 11),
     ("stream", *(math.prod(PRIMES[:k]) for k in range(1, 13))),
+    ("range", 12107, 13106),  # a window far from 1 counted from whole rows
+    ("range", 9973, 9974),  # a window of one n
 )
 
 
@@ -261,6 +264,7 @@ def corpus(seed: int, named: int, random_systems: int):
         spec = "parts:" + ";".join(random_set(rng) for _ in range(h))
         for n in rng.sample(POINTS[:-2], 3):  # n >= 1
             yield ("count", spec, n)
+        # any sequence but the two that cross or pass SIEVE_LIMIT
         yield ("counts", spec, rng.choice(SEQUENCES[:3] + SEQUENCES[5:]))
         s = primes_of(rng, 6)
         yield ("covers", spec, s, universe_of(rng, s))

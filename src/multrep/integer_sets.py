@@ -23,6 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
+from operator import and_
 
 from .errors import FactorizationLimitError, ResourceLimitError
 
@@ -129,14 +130,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _prime_count(n: int) -> int:
+    """The number of primes p <= n, read from the sieve as primes_up_to
+    reads them, without copying them."""
+    if n < 2:
+        return 0
+    _ensure_sieve(n)
+    return bisect_right(_primes, n)
+
+
 def primes_up_to(n: int) -> list[int]:
     """The primes p <= n, ascending, read from the sieve, which this
     grows up to n; raises ResourceLimitError for n >= PRIME_INDEX_LIMIT
     rather than outgrow memory."""
-    if n < 2:
-        return []
-    _ensure_sieve(n)
-    return _primes[: bisect_right(_primes, n)]
+    return _primes[: _prime_count(n)]
+
+
+def _row_holding(held, n: int) -> bytes:
+    """A row of bytes over primes_up_to(n), 1 at each prime of held and 0
+    elsewhere; the values of held that are not primes up to n are passed
+    over."""
+    size = _prime_count(n)
+    row = bytearray(size)
+    for p in held:
+        x = bisect_left(_primes, p, 0, size)
+        if x < size and _primes[x] == p:
+            row[x] = 1
+    return bytes(row)
 
 
 def prime_index(p: int) -> int:
@@ -264,6 +284,12 @@ class PrimeClass:
     def contains_prime(self, p: int) -> bool:
         raise NotImplementedError
 
+    def prime_row(self, n: int) -> bytes:
+        """Membership of each prime up to n, in the order of
+        primes_up_to(n), as a row of 0 and 1 bytes; by default one
+        contains_prime per prime."""
+        return bytes(map(self.contains_prime, primes_up_to(n)))
+
 
 @dataclass(frozen=True)
 class IndexResidue(PrimeClass):
@@ -285,6 +311,13 @@ class IndexResidue(PrimeClass):
         except ValueError:
             return False
 
+    def prime_row(self, n: int) -> bytes:
+        # p_j sits at j - 1, so the class is one strided slice of the row
+        row = bytearray(_prime_count(n))
+        start = (self.residue - 1) % self.modulus
+        row[start :: self.modulus] = b"\1" * len(range(start, len(row), self.modulus))
+        return bytes(row)
+
 
 @dataclass(frozen=True)
 class ExplicitList(PrimeClass):
@@ -295,6 +328,9 @@ class ExplicitList(PrimeClass):
 
     def contains_prime(self, p: int) -> bool:
         return p in self.primes
+
+    def prime_row(self, n: int) -> bytes:
+        return _row_holding(self.primes, n)
 
 
 @dataclass(frozen=True)
@@ -309,6 +345,11 @@ class Complement(PrimeClass):
 
     def contains_prime(self, p: int) -> bool:
         return p in self.universe and not self.inner.contains_prime(p)
+
+    def prime_row(self, n: int) -> bytes:
+        # the inner class is asked only about the universe's primes
+        held = (p for p in self.universe if p <= n and not self.inner.contains_prime(p))
+        return _row_holding(held, n)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +432,9 @@ class SetDescription:
     of n is decided by the prime powers exactly dividing n.  A set whose
     parameters reach beyond 64-bit range counts as not multiplicative,
     which costs speed, never exactness.  The rule is stated here once: a
-    multiplicative kind defines prime_power_flags.
+    multiplicative kind defines prime_power_flags.  prime_row answers
+    p^1 for every prime up to a bound at once, and a kind that can read
+    its row whole, without a question per prime, overrides it.
 
     divisor_flags decides every divisor of a factored n in one call, by
     kind: the kinds here build no factorization per divisor, and a kind
@@ -426,6 +469,12 @@ class SetDescription:
     def prime_power_flags(self, p: int, e: int) -> list[bool]:
         """Membership of p^0, p^1, ..., p^e for a prime p."""
         return [self.contains(p**a) for a in range(e + 1)]
+
+    def prime_row(self, n: int) -> bytes:
+        """prime_power_flags(p, 1)[1] for each p of primes_up_to(n), in
+        that order, as a row of 0 and 1 bytes; by default one question
+        per prime."""
+        return bytes(self.prime_power_flags(p, 1)[1] for p in primes_up_to(n))
 
     def divisor_flags(self, factors: dict[int, int], where: Sequence | None = None) -> list:
         """Membership of each divisor of the integer n whose factorization
@@ -476,6 +525,9 @@ class AllNaturals(SetDescription):
     def prime_power_flags(self, p: int, e: int) -> list[bool]:
         return [True] * (e + 1)
 
+    def prime_row(self, n: int) -> bytes:
+        return b"\1" * _prime_count(n)
+
     def divisor_flags(self, factors: dict[int, int], where: Sequence | None = None) -> list:
         return [True] * _steps(factors)[-1] if where is None else list(where)
 
@@ -515,6 +567,9 @@ class Singleton(SetDescription):
 
     def prime_power_flags(self, p: int, e: int) -> list[bool]:
         return [p**a in self.values for a in range(e + 1)]
+
+    def prime_row(self, n: int) -> bytes:
+        return _row_holding(self.values, n)
 
     def divisor_flags(self, factors: dict[int, int], where: Sequence | None = None) -> list:
         indices = [_divisor_index(factors, v) for v in self.values]
@@ -567,6 +622,11 @@ class PowersOf(SetDescription):
             return [self.lo == 0] + [False] * e
         hi = e if self.hi is None else self.hi
         return [a % k == 0 and self.lo <= a // k <= hi for a in range(e + 1)]
+
+    def prime_row(self, n: int) -> bytes:
+        # the one prime that can be held is base^1
+        first = self.lo <= 1 and (self.hi is None or self.hi >= 1)
+        return _row_holding((self.base,) if first else (), n)
 
     def divisor_flags(self, factors: dict[int, int], where: Sequence | None = None) -> list:
         # base^k for k up to the last that divides n, never base^lo itself
@@ -634,6 +694,9 @@ class Squarefree(SetDescription):
     def prime_power_flags(self, p: int, e: int) -> list[bool]:
         return [a <= 1 for a in range(e + 1)]
 
+    def prime_row(self, n: int) -> bytes:
+        return b"\1" * _prime_count(n)
+
 
 @dataclass(frozen=True)
 class SmoothOver(SetDescription):
@@ -648,7 +711,12 @@ class SmoothOver(SetDescription):
     multiplicative = True
 
     def prime_power_flags(self, p: int, e: int) -> list[bool]:
+        if not e:  # p^0 = 1 is held, and the class is not asked about p
+            return [True]
         return [True] + [self.prime_class.contains_prime(p)] * e
+
+    def prime_row(self, n: int) -> bytes:
+        return self.prime_class.prime_row(n)
 
 
 @dataclass(frozen=True)
@@ -720,6 +788,17 @@ class Intersection(SetDescription):
             if not any(row[1:]):
                 break
             row = [ok and more for ok, more in zip(row, part.prime_power_flags(p, e))]
+        return row
+
+    def prime_row(self, n: int) -> bytes:
+        if not self.multiplicative:
+            return super().prime_row(n)
+        # an AND of the parts' rows, no part asked once no prime is left
+        row = b"\1" * _prime_count(n)
+        for part in self.parts:
+            if not any(row):
+                break
+            row = bytes(map(and_, row, part.prime_row(n)))
         return row
 
     def divisor_flags(self, factors: dict[int, int], where: Sequence | None = None) -> list:

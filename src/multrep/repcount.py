@@ -25,14 +25,19 @@ the divisors of n.
 Window scans, witness streams and catalog evidence read their counts
 from one generator (_counts), which splits g into F * G, the
 convolutions of the parts that are not multiplicative and of the others.
-A window below SIEVE_LIMIT of a system with a part that is not
-multiplicative convolves F over [1, hi], unless that costs more than the
-per-n counts every other sequence takes.  Counted per n, an n below
-SIEVE_LIMIT of a system whose parts are all multiplicative reads g = G
-by the recurrence G(k) = c(p, e) G(k / p^e), p the smallest prime
-factor of k, where c(p, 1) is the number of multiplicative parts that
-hold p (each holds 1); every other n is counted by count_system_reps.  A
-window's exact min/max is evidence, never a limit.
+c(p, 1), G's factor at a prime to the first power, is the number of
+multiplicative parts that hold p (each holds 1).  A window below
+SIEVE_LIMIT reads c(p, 1) for every prime up to its end hi from the
+parts' prime rows, one row per part.  With a part that is not
+multiplicative it builds F and G as lists over [0, hi], G down from all
+ones or up from 1 at 1, whichever touches fewer primes, and sums the
+window by strided slices split at isqrt(hi) (Dirichlet's hyperbola
+method); unless rows, tables and F cost more than the per-n counts
+every other sequence takes.  Counted per n, an n below SIEVE_LIMIT of a
+system whose parts are all multiplicative reads g = G by the recurrence
+G(k) = c(p, e) G(k / p^e), p the smallest prime factor of k; every
+other n is counted by count_system_reps.  A window's exact min/max is
+evidence, never a limit.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
 from heapq import merge
 from itertools import compress, islice, repeat, tee
-from math import log
+from math import isqrt, log
+from operator import add
 
 from .errors import ResourceLimitError
 from .integer_sets import (
@@ -49,9 +55,11 @@ from .integer_sets import (
     MultiplicativeSystem,
     SetDescription,
     _divisor_values,
+    _prime_count,
     _spread,
     basis_system,
     factorize,
+    primes_up_to,
     smallest_prime_factors,
     # not called here, but perfbench/tracer.py wraps repcount.membership
     # and stops with AttributeError if the name is missing
@@ -332,12 +340,13 @@ def count_basis_reps(
 
 
 def _convolve(parts, hi: int, budget: int):
-    """F on [1, hi] as {m: F(m)} over its support: F(m) counts the tuples
-    of parts with product m, convolved from the parts' sorted members.
-    None once the members and (m, member) pairs visited pass budget, where
-    a part that cannot list its members costs hi, as it tests every n <= hi
-    to find them."""
-    conv = {1: 1}
+    """F over [0, hi] as a list: F(m) counts the tuples of parts with
+    product m, convolved from the parts' sorted members.  None once the
+    members and (m, member) pairs visited pass budget, where a part that
+    cannot list its members costs hi, as it tests every n <= hi to find
+    them."""
+    conv = [0] * (hi + 1)
+    conv[1] = 1
     for part in parts:
         if not part._listed:
             budget -= hi
@@ -345,16 +354,102 @@ def _convolve(parts, hi: int, budget: int):
                 return None
         members = list(islice(part.iter_up_to(hi), budget + 1))
         budget -= len(members)
-        nxt: dict[int, int] = {}
-        for m, c in conv.items():
+        nxt = [0] * (hi + 1)
+        for m in compress(range(hi + 1), conv):
             row = members[: bisect_right(members, hi // m)]
             budget -= len(row)
             if budget < 0:
                 return None
+            c = conv[m]
             for d in row:
-                nxt[m * d] = nxt.get(m * d, 0) + c
+                nxt[m * d] += c
         conv = nxt
     return conv
+
+
+def _held(parts, hi: int):
+    """For each prime up to hi, in the order of primes_up_to(hi), the
+    number of parts that hold it: the sum of the parts' prime rows."""
+    rows = [part.prime_row(hi) for part in parts]
+    if len(rows) < 256:  # no sum passes 255, so the rows add as integers
+        total = sum(int.from_bytes(row, "little") for row in rows)
+        return total.to_bytes(_prime_count(hi), "little")
+    return [sum(column) for column in zip(*rows)]
+
+
+def _set_prime(table: list, hi: int, p: int, row) -> None:
+    """Set the factor at the prime p of the multiplicative table over
+    [0, hi] to row: c(p, 1), ..., c(p, e) for the largest e with
+    p^e <= hi.  For e ascending, the entries at the multiples of p^e are
+    c(p, e) times those at 1, 2, ...: the last write to a multiple of p,
+    at the exponent of p in it, reads an entry that p does not divide."""
+    q = p
+    for c in row:
+        k = hi // q
+        column = table[1 : k + 1]
+        table[q::q] = column if c == 1 else map(c.__mul__, column) if c else bytes(k)
+        q *= p
+
+
+def _multiplicative_table(parts, hi: int, held) -> list:
+    """G over [0, hi] as a list: G(k) counts the tuples of the
+    multiplicative parts with product k, and held (_held) is c(p, 1) for
+    each prime up to hi.  A prime above isqrt(hi) divides k <= hi at
+    most once, so its row is c(p, 1) alone; a smaller prime's row
+    c(p, 1..e), up to the largest p^e <= hi, is read from one
+    _prime_chain.  G is built in whichever way touches fewer
+    primes: down from all ones, replacing the rows that are not all
+    ones, or up from 1 at 1 and 0 elsewhere, multiplying in the rows
+    that are not all zeros.  Going up, a prime above isqrt(hi) is
+    placed before any smaller one, when G is still 0 from 2 to hi / p,
+    so only G(p) is written."""
+    primes = primes_up_to(hi)
+    s = bisect_right(primes, isqrt(hi))
+    small = []
+    for p in primes[:s]:
+        e, q = 1, p * p
+        while q <= hi:
+            e, q = e + 1, q * p
+        _, width, suffixes = _prime_chain(parts, p, e)
+        small.append((p, [_digit(suffixes[0], a, width) for a in range(1, e + 1)]))
+    large = held[s:]
+    fixed = [(p, row) for p, row in small if row.count(1) < len(row)]
+    grown = [(p, row) for p, row in small if any(row)]
+    if len(fixed) + len(large) - large.count(1) <= len(grown) + len(large) - large.count(0):
+        table = [1] * (hi + 1)
+        if large.count(1) < len(large):
+            fixed += [(p, (c,)) for p, c in zip(primes[s:], large) if c != 1]
+    else:
+        table = [0] * (hi + 1)
+        table[1] = 1
+        for p, c in compress(zip(primes[s:], large), large):
+            table[p] = c
+        fixed = grown
+    for p, row in fixed:
+        _set_prime(table, hi, p, row)
+    return table
+
+
+def _window_sums(conv: list, table: list, lo: int, hi: int) -> list:
+    """g(n) = sum of F(m) G(k) over m * k = n, for n in [lo, hi], F and G
+    lists over [0, hi].  Split at M = isqrt(hi), by Dirichlet's hyperbola
+    method: each m <= M with F(m) != 0 adds F(m) G(k) along the window
+    by stride m, and each k <= hi // (M + 1) with G(k) != 0 adds the
+    F(m) G(k) of its m > M by stride k, so every pair is counted once."""
+    counts = [0] * (hi - lo + 1)
+    root = isqrt(hi)
+    halves = ((conv, table, root, 1), (table, conv, hi // (root + 1), root + 1))
+    for outer, inner, top, least in halves:
+        for m in compress(range(1, top + 1), outer[1 : top + 1]):
+            first, last = max(least, -(-lo // m)), hi // m
+            if first > last:
+                continue
+            f, column = outer[m], inner[first : last + 1]
+            if f != 1:
+                column = map(f.__mul__, column)
+            start = first * m - lo
+            counts[start::m] = map(add, counts[start::m], column)
+    return counts
 
 
 def _counts(system: MultiplicativeSystem, ns):
@@ -365,48 +460,64 @@ def _counts(system: MultiplicativeSystem, ns):
     that are not multiplicative with product m; G counts those of the
     multiplicative parts, as the tail of _Lattice does, and is
     multiplicative: G(k) = c(p, e) G(k / p^e) for each p^e exactly
-    dividing k, with c(p, e) kept for the call.  Every multiplicative
-    part holds 1, so p^1 goes to exactly one part: c(p, 1) is the number
-    of parts whose prime_power_flags hold p, the count the cover side's
-    held keeps per element, and only an e >= 2 builds a _prime_chain.
+    dividing k.  Every multiplicative part holds 1, so p^1 goes to
+    exactly one part: c(p, 1) is the number of parts that hold p, the
+    count the cover side's held keeps per element, and only an e >= 2
+    builds a _prime_chain.
 
-    On a window (a non-empty range of step 1 from n >= 1, ending at or
-    below SIEVE_LIMIT) of a system with a part that is not
-    multiplicative, F is convolved over [1, hi] and g(n) sums
-    F(m) G(n / m) over the support of F, walking the multiples of each m
-    in the window.  F is given up once building it visits more members
-    and pairs than width * h * ln(hi), the cost of per-n counts (h parts
-    decided on about ln(n) divisors); a part that cannot list its members
-    costs hi.  Every other sequence is counted one n at a time, by the
+    A window is a non-empty range of step 1 from n >= 1, ending at or
+    below SIEVE_LIMIT.  On a window, c(p, 1) for every prime p up to hi
+    is the sum of the parts' prime rows (SetDescription.prime_row), and
+    when a part is not multiplicative, F and G are tables over [0, hi]
+    (_convolve, _multiplicative_table) and the window is summed from
+    them by strided slices (_window_sums).  The rows, the tables and
+    building F are charged to width * h * ln(hi), the cost of per-n
+    counts (h parts decided on about ln(n) divisors): a row costs one
+    per prime up to hi, and so does each table, as slice operations
+    write its entries; each member and (m, member) pair visited
+    building F costs one, and a part that cannot list its members hi.  A window that cannot afford its rows, or its tables
+    and F, is counted one n at a time like every other sequence, by the
     system: when every part is multiplicative, an n in [1, SIEVE_LIMIT)
     reads g = G by the recurrence: p is the smallest prime factor of k,
     read from the sieve (grown as factorize would grow it for n), up to
-    the first c(p, e) that is 0, and on a range G(k / p^e) is read from a
-    memo of the k <= hi / 2 (a larger k is read once, at n = k).  Every
-    other n, off the sieve, below 1 or of a system with a part that is
-    not multiplicative, is counted by count_system_reps.
-    Only the convolution counts ahead, so a caller that stops early pays
-    for no more n, and where a count raises (a factorization or a prime
+    the first c(p, e) that is 0, c(p, 1) read from the rows where a
+    window has them and asked of each part once per prime otherwise, and
+    on a range G(k / p^e) is read from a memo of the k <= hi / 2 (a
+    larger k is read once, at n = k).  Every other n, off the sieve,
+    below 1 or of a system with a part that is not multiplicative, is
+    counted by count_system_reps.
+    Only the tables count ahead, so a caller that stops early pays for
+    no more n, and where a count raises (a factorization or a prime
     index out of range) every count before it has been yielded.
     """
     mult = [part for part in system.parts if part.multiplicative]
     rest = [part for part in system.parts if not part.multiplicative]
-    conv = None
-    window = isinstance(ns, range) and ns.step == 1
-    if rest and window and 1 <= ns.start < ns.stop <= SIEVE_LIMIT:
-        hi = ns[-1]
-        conv = _convolve(rest, hi, int(len(ns) * len(system.parts) * log(hi)))
-    digits: dict[tuple[int, int], int] = {}
+    ones: dict[int, int] = {}  # c(p, 1) by p
+    if isinstance(ns, range) and ns.step == 1 and 1 <= ns.start < ns.stop <= SIEVE_LIMIT:
+        lo, hi = ns[0], ns[-1]
+        rows = _prime_count(hi)
+        budget = int(len(ns) * len(system.parts) * log(hi)) - len(mult) * rows
+        # F and G are charged a row each
+        conv = _convolve(rest, hi, budget - 2 * rows) if rest and budget >= 2 * rows else None
+        if budget >= 0 and (conv is not None or not rest):
+            held = _held(mult, hi)
+            if conv is not None:
+                table = _multiplicative_table(mult, hi, held)
+                yield from zip(ns, _window_sums(conv, table, lo, hi))
+                return
+            ones = dict(zip(primes_up_to(hi), held))
+    digits: dict[tuple[int, int], int] = {}  # c(p, e) for e >= 2
 
     def c(p: int, e: int) -> int:
+        if e == 1:
+            d = ones.get(p)
+            if d is None:  # every part holds 1, so p goes to one part holding it
+                d = ones[p] = sum(part.prime_power_flags(p, 1)[1] for part in mult)
+            return d
         d = digits.get((p, e))
         if d is None:
-            if e == 1:  # every part holds 1, so p goes to one part holding it
-                d = sum(part.prime_power_flags(p, 1)[1] for part in mult)
-            else:
-                _, width, suffixes = _prime_chain(mult, p, e)
-                d = _digit(suffixes[0], e, width)
-            digits[p, e] = d
+            _, width, suffixes = _prime_chain(mult, p, e)
+            d = digits[p, e] = _digit(suffixes[0], e, width)
         return d
 
     spf = ()
@@ -427,14 +538,6 @@ def _counts(system: MultiplicativeSystem, ns):
                 memo[k] = value
         return value
 
-    if conv is not None:
-        lo, spf = ns[0], smallest_prime_factors(hi)
-        counts = [0] * len(ns)
-        for m, f in conv.items():
-            for k in range(-(-lo // m), hi // m + 1):
-                counts[k * m - lo] += f * g(k)
-        yield from zip(ns, counts)
-        return
     for n in ns:
         if not rest and 1 <= n < SIEVE_LIMIT:
             spf = spf if n < len(spf) else smallest_prime_factors(n)

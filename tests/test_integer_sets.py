@@ -5,6 +5,7 @@ import sys
 import time
 import tracemalloc
 from array import array
+from dataclasses import dataclass
 from itertools import product
 from math import gcd, isqrt, prod
 
@@ -25,6 +26,7 @@ from multrep import (
     PrimesWithOne,
     FactorizationLimitError,
     ResourceLimitError,
+    SetDescription,
     Singleton,
     SmoothOver,
     Squarefree,
@@ -47,7 +49,7 @@ from multrep.integer_sets import (
 )
 
 from conftest import sieve_squarefree
-from test_repcount import SMALL_PRIMES, any_sets
+from test_repcount import MULTIPLICATIVE_KINDS, SMALL_PRIMES, any_sets
 
 
 def test_membership_spec_examples():
@@ -442,6 +444,64 @@ def test_prime_power_flags_equal_contains_per_power(d, extra):
     for p in (2, 3, 5, 7, 13, 997) + extra:
         for e in range(7):
             assert d.prime_power_flags(p, e) == [d.contains(p**a) for a in range(e + 1)]
+
+
+def test_prime_power_flags_at_e_0_do_not_ask_the_class():
+    # 4194319 is a prime whose index lies beyond the 2^22 sieve cap
+    d = SmoothOver(IndexResidue(2, 0))
+    assert d.prime_power_flags(4194319, 0) == [True]
+    assert d.contains(1)
+    with pytest.raises(ResourceLimitError):
+        d.prime_power_flags(4194319, 1)
+
+
+@dataclass(frozen=True)
+class PrimesOneMod4Smooth(SetDescription):
+    """Defines only prime_power_flags, so its row is the base class's."""
+
+    multiplicative = True
+
+    def prime_power_flags(self, p, e):
+        return [a == 0 or p % 4 == 1 for a in range(e + 1)]
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        *MULTIPLICATIVE_KINDS,
+        *(SmoothOver(IndexResidue(m, r)) for m in range(2, 7) for r in range(m)),
+        PrimesOneMod4Smooth(),
+        # kinds that are not multiplicative, and bases a row must not hold
+        PowersOf(3, 2),
+        PowersOf(5, 1, 3),
+        PowersOf(4),
+        PowersOf(2, 0, 0),
+        Singleton((0, 2, 4, 7, 10**20)),
+        Intersection((Squarefree(), Primes())),
+        Union((PowersOf(3, 0, 2), Primes())),
+    ],
+    ids=repr,
+)
+def test_prime_rows_equal_prime_power_flags(d):
+    assert "prime_row" not in vars(PrimesOneMod4Smooth)
+    for n in (1, 2, 3, 100, 5000):
+        flags = [d.prime_power_flags(p, 1)[1] for p in primes_up_to(n)]
+        assert d.prime_row(n) == bytes(flags)
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        *(IndexResidue(m, r) for m in range(2, 7) for r in range(m)),
+        ExplicitList((2, 7, 4999, 5003)),
+        Complement(IndexResidue(3, 0), (2, 3, 5, 7, 11, 13, 4999, 5003)),
+        Complement(Complement(ExplicitList((5,)), (3, 5, 7)), (2, 3, 5, 7)),
+    ],
+    ids=repr,
+)
+def test_prime_class_rows_equal_contains_prime(c):
+    for n in (1, 2, 3, 100, 5000):
+        assert c.prime_row(n) == bytes(map(c.contains_prime, primes_up_to(n)))
 
 
 

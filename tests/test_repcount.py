@@ -595,6 +595,69 @@ def test_a_window_builds_no_chain_for_a_prime_to_the_first_power(monkeypatch):
     assert exponents and min(exponents) >= 2
 
 
+def multiplicative_oracle(parts, hi):
+    """G(k) for k in [1, hi], counted per k by count_system_reps (a part
+    holding only 1 makes a system of one part a system of two)."""
+    system = MultiplicativeSystem((*parts, Singleton((1,)), Singleton((1,))))
+    return [count_system_reps(system, k, 0).count for k in range(1, hi + 1)]
+
+
+# down from all ones with nothing to fix; down, fixing small primes to 0
+# at p^2; up from 1 at 1, a row 0 at p but not at p^2; both with rows that
+# are neither 0 nor 1; no part at all
+TABLE_PARTS = [
+    [AllNaturals()],
+    [Squarefree()],
+    [Singleton((1, 4, 8))],
+    [Singleton((1, 2, 4))],
+    [AllNaturals(), Squarefree()],
+    [SmoothOver(IndexResidue(3, 1)), Squarefree(), PowersOf(2, 0, 3)],
+    [Singleton((1, 9)), SmoothOver(ExplicitList((2, 3)))],
+    [],
+]
+
+
+@pytest.mark.parametrize("parts", TABLE_PARTS, ids=repr)
+def test_multiplicative_tables_match_per_k_counts(parts):
+    for hi in (1, 2, 3, 4, 9, 30, 1100):
+        table = repcount._multiplicative_table(parts, hi, repcount._held(parts, hi))
+        assert len(table) == hi + 1
+        assert table[1:] == multiplicative_oracle(parts, hi)
+
+
+def table_outcomes(system, lo, hi):
+    """g over [lo, hi] from F and G over [0, hi], whatever the window
+    could afford."""
+    mult = [part for part in system.parts if part.multiplicative]
+    rest = [part for part in system.parts if not part.multiplicative]
+    conv = repcount._convolve(rest, hi, 1 << 40)
+    table = repcount._multiplicative_table(mult, hi, repcount._held(mult, hi))
+    return repcount._window_sums(conv, table, lo, hi)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        # a sparse G, a dense G, a G whose c(p, e) is not 1 at small primes
+        (Union((PowersOf(3, 0, 2), Primes())), PrimesWithOne(), Singleton((1, 2, 4))),
+        (AllNaturals(), PrimesWithOne(), PrimesWithOne()),
+        (Primes(), AllNaturals(), Squarefree(), Singleton((1, 4, 8))),
+        # a part that cannot list its members, and no multiplicative part
+        (Union((Squarefree(), Primes())), AllNaturals()),
+        (Primes(), PrimesWithOne(), Singleton((1, 6))),
+    ],
+    ids=repr,
+)
+def test_window_tables_match_per_n_counts(parts):
+    system = MultiplicativeSystem(parts)
+    # far from 1, width 1, lo = 1, and lo below isqrt(hi)
+    for lo, hi in [(12107, 13106), (1, 1), (2, 2), (7, 7), (9973, 9973), (10000, 10000),
+                   (1, 500), (1, 2), (30, 3000), (11, 200)]:
+        expected = per_n_outcomes(system, lo, hi)
+        assert table_outcomes(system, lo, hi) == expected
+        assert window_outcomes(system, lo, hi) == expected
+
+
 def test_the_tuple_walk_takes_more_parts_than_the_recursion_limit():
     h = sys.getrecursionlimit() + 200
     # all tail: only part 1 holds 2
@@ -716,6 +779,21 @@ def test_narrow_windows_far_from_1_are_counted_per_n(monkeypatch, spec):
         counted.clear()
         assert window_outcomes(system, lo, hi) == per_n_outcomes(system, lo, hi)
         assert counted == ([] if hi < 10**6 else list(range(lo, hi + 1)))
+
+
+@pytest.mark.parametrize("spec", ["s-inf:h=3,s=3", GRAMMAR, "fundamental:h=3"])
+def test_a_narrow_window_far_from_1_builds_no_row_and_no_table(monkeypatch, spec):
+    def refuse(*args):
+        raise AssertionError("a narrow window built a row or a table")
+
+    system = parse_system_spec(spec)
+    expected = per_n_outcomes(system, 900000, 900041)
+    for cls in (SetDescription, *SetDescription.__subclasses__()):
+        if "prime_row" in vars(cls):
+            monkeypatch.setattr(cls, "prime_row", refuse)
+    for name in ("_held", "_convolve", "_multiplicative_table", "_window_sums"):
+        monkeypatch.setattr(repcount, name, refuse)
+    assert window_outcomes(system, 900000, 900041) == expected
 
 
 def test_parts_that_cannot_list_their_members_are_not_scanned(monkeypatch):
