@@ -472,9 +472,9 @@ def _counts(system: MultiplicativeSystem, ns):
     (_convolve, _multiplicative_table) and the window is summed from
     them by strided slices (_window_sums).  The rows, the tables and
     building F are charged to width * h * ln(hi), the cost of per-n
-    counts (h parts decided on about ln(n) divisors): a row costs one
-    per prime up to hi, and so does each table, as slice operations
-    write its entries; each member and (m, member) pair visited
+    counts (h parts decided on about ln(n) divisors): the rows and the
+    tables together cost one per prime up to hi, as byte and slice
+    operations write them; each member and (m, member) pair visited
     building F costs one, and a part that cannot list its members hi.  A window that cannot afford its rows, or its tables
     and F, is counted one n at a time like every other sequence, by the
     system: when every part is multiplicative, an n in [1, SIEVE_LIMIT)
@@ -495,10 +495,9 @@ def _counts(system: MultiplicativeSystem, ns):
     ones: dict[int, int] = {}  # c(p, 1) by p
     if isinstance(ns, range) and ns.step == 1 and 1 <= ns.start < ns.stop <= SIEVE_LIMIT:
         lo, hi = ns[0], ns[-1]
-        rows = _prime_count(hi)
-        budget = int(len(ns) * len(system.parts) * log(hi)) - len(mult) * rows
-        # F and G are charged a row each
-        conv = _convolve(rest, hi, budget - 2 * rows) if rest and budget >= 2 * rows else None
+        # the rows and the tables are charged one per prime up to hi
+        budget = int(len(ns) * len(system.parts) * log(hi)) - _prime_count(hi)
+        conv = _convolve(rest, hi, budget) if rest and budget >= 0 else None
         if budget >= 0 and (conv is not None or not rest):
             held = _held(mult, hi)
             if conv is not None:

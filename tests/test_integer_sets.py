@@ -40,6 +40,7 @@ from multrep import integer_sets
 from multrep.integer_sets import (
     MAX_INT,
     PRIME_INDEX_LIMIT,
+    PrimeClass,
     factorize,
     is_prime,
     nth_prime,
@@ -489,10 +490,20 @@ def test_prime_rows_equal_prime_power_flags(d):
         assert d.prime_row(n) == bytes(flags)
 
 
+@dataclass(frozen=True)
+class PrimesOneMod4(PrimeClass):
+    """Defines only contains_prime, so its row is the base class's."""
+
+    def contains_prime(self, p):
+        return p % 4 == 1
+
+
 @pytest.mark.parametrize(
     "c",
     [
         *(IndexResidue(m, r) for m in range(2, 7) for r in range(m)),
+        PrimesOneMod4(),
+        Complement(PrimesOneMod4(), (2, 5, 7, 13)),
         ExplicitList((2, 7, 4999, 5003)),
         Complement(IndexResidue(3, 0), (2, 3, 5, 7, 11, 13, 4999, 5003)),
         Complement(Complement(ExplicitList((5,)), (3, 5, 7)), (2, 3, 5, 7)),
@@ -500,6 +511,7 @@ def test_prime_rows_equal_prime_power_flags(d):
     ids=repr,
 )
 def test_prime_class_rows_equal_contains_prime(c):
+    assert "prime_row" not in vars(PrimesOneMod4)
     for n in (1, 2, 3, 100, 5000):
         assert c.prime_row(n) == bytes(map(c.contains_prime, primes_up_to(n)))
 

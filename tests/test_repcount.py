@@ -625,6 +625,21 @@ def test_multiplicative_tables_match_per_k_counts(parts):
         assert table[1:] == multiplicative_oracle(parts, hi)
 
 
+def test_windows_of_more_than_255_multiplicative_parts():
+    # c(p, 1) = 256 passes a byte, so the rows are summed column by
+    # column; the counts are d_256(n), and d_256(n / p) summed over p | n
+    h = 256
+
+    def d(n):
+        return math.prod(math.comb(e + h - 1, h - 1) for e in factorize(n).values())
+
+    system = basis_system(AllNaturals(), h)
+    assert window_outcomes(system, 1, 60) == [d(n) for n in range(1, 61)]
+    system = MultiplicativeSystem((Primes(),) + (AllNaturals(),) * h)
+    expected = [sum(d(n // p) for p in factorize(n)) for n in range(1, 61)]
+    assert window_outcomes(system, 1, 60) == expected
+
+
 def table_outcomes(system, lo, hi):
     """g over [lo, hi] from F and G over [0, hi], whatever the window
     could afford."""
