@@ -791,8 +791,6 @@ class Intersection(SetDescription):
         return row
 
     def prime_row(self, n: int) -> bytes:
-        if not self.multiplicative:
-            return super().prime_row(n)
         # an AND of the parts' rows, no part asked once no prime is left
         row = b"\1" * _prime_count(n)
         for part in self.parts:

@@ -475,9 +475,10 @@ def _counts(system: MultiplicativeSystem, ns):
     counts (h parts decided on about ln(n) divisors): the rows and the
     tables together cost one per prime up to hi, as byte and slice
     operations write them; each member and (m, member) pair visited
-    building F costs one, and a part that cannot list its members hi.  A window that cannot afford its rows, or its tables
-    and F, is counted one n at a time like every other sequence, by the
-    system: when every part is multiplicative, an n in [1, SIEVE_LIMIT)
+    building F costs one, and a part that cannot list its members hi.
+    A window that cannot afford its rows, or its tables and F, is
+    counted one n at a time like every other sequence, by the system:
+    when every part is multiplicative, an n in [1, SIEVE_LIMIT)
     reads g = G by the recurrence: p is the smallest prime factor of k,
     read from the sieve (grown as factorize would grow it for n), up to
     the first c(p, e) that is 0, c(p, 1) read from the rows where a

@@ -516,7 +516,6 @@ def test_prime_class_rows_equal_contains_prime(c):
         assert c.prime_row(n) == bytes(map(c.contains_prime, primes_up_to(n)))
 
 
-
 def test_sieve_matches_plain_sieve(monkeypatch):
     monkeypatch.setattr(integer_sets, "_spf", array("I"))
     monkeypatch.setattr(integer_sets, "_primes", [])
