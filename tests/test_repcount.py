@@ -604,12 +604,14 @@ def multiplicative_oracle(parts, hi):
 
 # down from all ones with nothing to fix; down, fixing small primes to 0
 # at p^2, and a third of all primes to 0; up from 1 at 1, a row 0 at p
-# but not at p^2; both with rows that are neither 0 nor 1; no part at all
+# but not at p^2, and a third of all primes at 2; both with rows that
+# are neither 0 nor 1; no part at all
 TABLE_PARTS = [
     [AllNaturals()],
     [Squarefree()],
     [SmoothOver(IndexResidue(3, 0)), SmoothOver(IndexResidue(3, 1))],
     [Singleton((1, 4, 8))],
+    [SmoothOver(IndexResidue(3, 1)), SmoothOver(IndexResidue(3, 1))],
     [Singleton((1, 2, 4))],
     [AllNaturals(), Squarefree()],
     [SmoothOver(IndexResidue(3, 1)), Squarefree(), PowersOf(2, 0, 3)],
